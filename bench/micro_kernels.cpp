@@ -23,6 +23,7 @@
 #include "linalg/decomp.hpp"
 #include "recon/tsdf.hpp"
 #include "render/app.hpp"
+#include "sensors/trajectory.hpp"
 #include "sensors/world.hpp"
 #include "signal/fft.hpp"
 #include "slam/fast.hpp"
@@ -183,6 +184,25 @@ BM_RasterizeArDemo(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RasterizeArDemo);
+
+void
+BM_RasterizeSponza(benchmark::State &state)
+{
+    // 80x80 eyes cycling through 120 lab-walk poses (6 s of walking),
+    // so the lighting cache and whole-object reject see real views.
+    AppConfig cfg;
+    cfg.eye_width = 80;
+    cfg.eye_height = 80;
+    XrApplication app(AppId::Sponza, cfg);
+    const Trajectory walk = Trajectory::labWalk(7);
+    int i = 0;
+    for (auto _ : state) {
+        const double t = 0.05 * (i++ % 120);
+        StereoFrame frame = app.renderFrame(walk.pose(t), t);
+        benchmark::DoNotOptimize(frame.left.r.data());
+    }
+}
+BENCHMARK(BM_RasterizeSponza);
 
 void
 BM_TimewarpReproject(benchmark::State &state)

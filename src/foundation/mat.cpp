@@ -233,19 +233,6 @@ Mat4::operator*(const Mat4 &o) const
     return r;
 }
 
-Vec4
-Mat4::operator*(const Vec4 &v) const
-{
-    const double in[4] = {v.x, v.y, v.z, v.w};
-    double out[4];
-    for (int i = 0; i < 4; ++i) {
-        out[i] = 0.0;
-        for (int k = 0; k < 4; ++k)
-            out[i] += m[i][k] * in[k];
-    }
-    return {out[0], out[1], out[2], out[3]};
-}
-
 Mat4
 Mat4::transpose() const
 {
@@ -254,21 +241,6 @@ Mat4::transpose() const
         for (int j = 0; j < 4; ++j)
             r.m[i][j] = m[j][i];
     return r;
-}
-
-Vec3
-Mat4::transformPoint(const Vec3 &p) const
-{
-    const Vec4 h = *this * Vec4(p, 1.0);
-    if (h.w != 0.0 && h.w != 1.0)
-        return h.xyz() / h.w;
-    return h.xyz();
-}
-
-Vec3
-Mat4::transformDirection(const Vec3 &d) const
-{
-    return (*this * Vec4(d, 0.0)).xyz();
 }
 
 Mat4

@@ -71,15 +71,37 @@ struct Mat4
     double operator()(int r, int c) const { return m[r][c]; }
 
     Mat4 operator*(const Mat4 &o) const;
-    Vec4 operator*(const Vec4 &v) const;
+
+    // Inline with the transforms below: the rasterizer runs them per
+    // vertex.
+    Vec4 operator*(const Vec4 &v) const
+    {
+        const double in[4] = {v.x, v.y, v.z, v.w};
+        double out[4];
+        for (int i = 0; i < 4; ++i) {
+            out[i] = 0.0;
+            for (int k = 0; k < 4; ++k)
+                out[i] += m[i][k] * in[k];
+        }
+        return {out[0], out[1], out[2], out[3]};
+    }
 
     Mat4 transpose() const;
 
     /** Transform a point (w = 1) and divide by the resulting w. */
-    Vec3 transformPoint(const Vec3 &p) const;
+    Vec3 transformPoint(const Vec3 &p) const
+    {
+        const Vec4 h = *this * Vec4(p, 1.0);
+        if (h.w != 0.0 && h.w != 1.0)
+            return h.xyz() / h.w;
+        return h.xyz();
+    }
 
     /** Transform a direction (w = 0). */
-    Vec3 transformDirection(const Vec3 &d) const;
+    Vec3 transformDirection(const Vec3 &d) const
+    {
+        return (*this * Vec4(d, 0.0)).xyz();
+    }
 
     /**
      * General inverse via Gauss–Jordan elimination.

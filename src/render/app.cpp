@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace illixr {
 
@@ -29,30 +30,48 @@ eyePose(const Pose &head_pose, double ipd_m, bool left)
 }
 
 XrApplication::XrApplication(AppId app, const AppConfig &config)
-    : scene_(app), config_(config)
+    : scene_(app), config_(config),
+      raster_(config.eye_width, config.eye_height)
 {
+}
+
+void
+XrApplication::updateLighting()
+{
+    const DirectionalLight light;
+    lit_.resize(scene_.objects().size());
+    for (std::size_t i = 0; i < lit_.size(); ++i) {
+        const Mat4 model = scene_.objectTransform(i);
+        LitObject &obj = lit_[i];
+        if (obj.ready &&
+            std::memcmp(model.m, obj.lit.model.m, sizeof(model.m)) == 0)
+            continue;
+        lightMesh(scene_.objects()[i].mesh, model, light,
+                  scene_.objects()[i].shading, obj.lit);
+        obj.ready = true;
+    }
 }
 
 void
 XrApplication::renderEye(RgbImage &target, const Pose &eye)
 {
-    Rasterizer raster(config_.eye_width, config_.eye_height);
-    raster.clear(scene_.backgroundColor());
+    if (raster_.width() != config_.eye_width ||
+        raster_.height() != config_.eye_height)
+        raster_ = Rasterizer(config_.eye_width, config_.eye_height);
+    raster_.clear(scene_.backgroundColor());
+    raster_.stats().reset();
     const Mat4 view = viewMatrixFromPose(eye);
     const Mat4 proj = Mat4::perspective(
         config_.fov_y_rad,
         static_cast<double>(config_.eye_width) / config_.eye_height,
         config_.near_z, config_.far_z);
-    const DirectionalLight light;
-    for (std::size_t i = 0; i < scene_.objects().size(); ++i) {
-        raster.draw(scene_.objects()[i].mesh, scene_.objectTransform(i),
-                    view, proj, light, scene_.objects()[i].shading);
-    }
-    stats_.triangles_submitted += raster.stats().triangles_submitted;
-    stats_.triangles_rasterized += raster.stats().triangles_rasterized;
-    stats_.fragments_shaded += raster.stats().fragments_shaded;
-    stats_.draw_calls += raster.stats().draw_calls;
-    target = raster.color();
+    for (std::size_t i = 0; i < lit_.size(); ++i)
+        raster_.draw(scene_.objects()[i].mesh, lit_[i].lit, view, proj);
+    stats_.triangles_submitted += raster_.stats().triangles_submitted;
+    stats_.triangles_rasterized += raster_.stats().triangles_rasterized;
+    stats_.fragments_shaded += raster_.stats().fragments_shaded;
+    stats_.draw_calls += raster_.stats().draw_calls;
+    target = raster_.color();
 }
 
 StereoFrame
@@ -89,6 +108,7 @@ XrApplication::renderFrame(const Pose &head_pose, double t_seconds)
     // --- Rendering (both eyes). ---
     {
         ScopedTask timer(profile_, "rendering");
+        updateLighting();
         renderEye(frame.left, eyePose(head_pose, config_.ipd_m, true));
         renderEye(frame.right, eyePose(head_pose, config_.ipd_m, false));
     }

@@ -68,6 +68,17 @@ class XrApplication
     TaskProfile &profile() { return profile_; }
 
   private:
+    /** Phase-1 lighting of one scene object; LitMesh::model is the
+     *  cache key. */
+    struct LitObject
+    {
+        bool ready = false;
+        LitMesh lit;
+    };
+
+    /** Relight every object whose transform bits changed. */
+    void updateLighting();
+
     /** Render one eye into @p target. */
     void renderEye(RgbImage &target, const Pose &eye_pose);
 
@@ -76,6 +87,8 @@ class XrApplication
     RasterStats stats_;
     TaskProfile profile_;
     double physicsState_ = 0.0; ///< Accumulator for the sim workload.
+    std::vector<LitObject> lit_; ///< One per scene object.
+    Rasterizer raster_;          ///< Reused by every eye of every frame.
 };
 
 /** View matrix of an eye given its world pose (graphics convention:

@@ -9,16 +9,6 @@ namespace illixr {
 
 namespace {
 
-/** Post-transform vertex. */
-struct ShadedVertex
-{
-    Vec3 ndc;        ///< Normalized device coordinates.
-    double inv_w = 0.0;
-    Vec3 color;      ///< Gouraud-lit color (pre-divided by w).
-    Vec3 normal;     ///< World normal / w (for per-pixel shading).
-    Vec3 world;      ///< World position / w.
-};
-
 double
 edgeFunction(double ax, double ay, double bx, double by, double cx,
              double cy)
@@ -26,21 +16,85 @@ edgeFunction(double ax, double ay, double bx, double by, double cx,
     return (cx - ax) * (by - ay) - (cy - ay) * (bx - ax);
 }
 
-/** Screen-space triangle after setup/culling, ready to rasterize. */
-struct SetupTriangle
-{
-    const ShadedVertex *a = nullptr;
-    const ShadedVertex *b = nullptr;
-    const ShadedVertex *c = nullptr;
-    double ax, ay, bx, by, cx, cy;
-    double inv_area;
-    int x0, x1, y0, y1; ///< Clamped bounding box.
-};
-
 /** Rows of the framebuffer covered by one rasterizer tile band. */
 constexpr int kBandRows = 16;
 
+/** Max over the sphere (@p c, @p r) of the affine function
+ *  l0 x + l1 y + l2 z + l3. */
+double
+maxOverSphere(double l0, double l1, double l2, double l3, const Vec3 &c,
+              double r)
+{
+    return l0 * c.x + l1 * c.y + l2 * c.z + l3 +
+           r * std::sqrt(l0 * l0 + l1 * l1 + l2 * l2);
+}
+
 } // namespace
+
+void
+lightMesh(const Mesh &mesh, const Mat4 &model, const DirectionalLight &light,
+          ShadingModel shading, LitMesh &out)
+{
+    const std::size_t n = mesh.vertices.size();
+    out.model = model;
+    out.light = light;
+    out.shading = shading;
+    out.world.resize(n);
+    out.normal.resize(n);
+    out.color.resize(n);
+    const Vec3 light_dir = light.direction.normalized();
+    parallelFor("raster_light", 0, n, 64,
+                [&](std::size_t vb, std::size_t ve) {
+        for (std::size_t i = vb; i < ve; ++i) {
+            const Vertex &v = mesh.vertices[i];
+            out.world[i] = model.transformPoint(v.position);
+            const Vec3 nrm = model.transformDirection(v.normal).normalized();
+            out.normal[i] = nrm;
+            if (shading == ShadingModel::Gouraud) {
+                const double diffuse =
+                    std::max(0.0, nrm.dot(light_dir)) * light.intensity;
+                out.color[i] = v.color * (light.ambient + diffuse);
+            } else {
+                out.color[i] = v.color;
+            }
+        }
+    });
+
+    Vec3 lo, hi;
+    mesh.bounds(lo, hi);
+    out.bound_center = (lo + hi) * 0.5;
+    double r2 = 0.0;
+    for (const Vertex &v : mesh.vertices)
+        r2 = std::max(r2, (v.position - out.bound_center).squaredNorm());
+    out.bound_radius = std::sqrt(r2);
+}
+
+bool
+sphereOutsideView(const Vec3 &center, double radius, const Mat4 &mvp,
+                  int width, int height)
+{
+    // Each test is a half-space of clip = mvp * (p, 1), i.e. an affine
+    // function of the model-space point p; the object is rejected when
+    // the whole sphere lies on its non-positive side. A vertex with
+    // clip w > 0 has screen x = (x / w + 1) * width / 2, so lying
+    // kRejectMarginPx beyond the left edge is x + kx * w < 0.
+    const auto &m = mvp.m;
+    const double kx = 1.0 + 2.0 * kRejectMarginPx / width;
+    const double ky = 1.0 + 2.0 * kRejectMarginPx / height;
+    // True when s * row + k * w <= 0 over the whole sphere.
+    const auto beyond = [&](const double *row, double s, double k) {
+        return maxOverSphere(s * row[0] + k * m[3][0],
+                             s * row[1] + k * m[3][1],
+                             s * row[2] + k * m[3][2],
+                             s * row[3] + k * m[3][3], center,
+                             radius) <= 0.0;
+    };
+    return beyond(m[0], 0.0, 1.0) ||  // Behind the eye: w <= 0.
+           beyond(m[0], 1.0, kx) ||   // Left: x + kx w <= 0.
+           beyond(m[0], -1.0, kx) ||  // Right: kx w - x <= 0.
+           beyond(m[1], -1.0, ky) ||  // Top (y down): ky w - y <= 0.
+           beyond(m[1], 1.0, ky);     // Bottom: y + ky w <= 0.
+}
 
 Rasterizer::Rasterizer(int width, int height)
     : color_(width, height), depth_(width, height, 1e30f)
@@ -61,72 +115,61 @@ Rasterizer::draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
                  const Mat4 &proj, const DirectionalLight &light,
                  ShadingModel shading)
 {
+    LitMesh lit;
+    lightMesh(mesh, model, light, shading, lit);
+    draw(mesh, lit, view, proj);
+}
+
+void
+Rasterizer::draw(const Mesh &mesh, const LitMesh &lit, const Mat4 &view,
+                 const Mat4 &proj)
+{
     ++stats_.draw_calls;
     stats_.triangles_submitted += mesh.triangleCount();
 
-    const Mat4 mv = view * model;
-    const Mat4 mvp = proj * mv;
-    const Vec3 light_dir = light.direction.normalized();
-    // Camera position in world space (for specular).
-    const Mat4 view_inv = view.inverse();
-    const Vec3 eye(view_inv(0, 3), view_inv(1, 3), view_inv(2, 3));
-
-    // Transform all vertices once. (`char`, not `vector<bool>`: tiles
-    // write disjoint plain bytes, never shared packed words.)
-    std::vector<ShadedVertex> tv(mesh.vertices.size());
-    std::vector<char> valid(mesh.vertices.size(), 1);
-    parallelFor("raster_xform", 0, mesh.vertices.size(), 64,
-                [&](std::size_t vb, std::size_t ve) {
-    for (std::size_t i = vb; i < ve; ++i) {
-        const Vertex &v = mesh.vertices[i];
-        const Vec3 world = model.transformPoint(v.position);
-        const Vec4 clip = mvp * Vec4(v.position, 1.0);
-        if (clip.w <= 1e-6) {
-            valid[i] = 0; // Behind the near plane.
-            continue;
-        }
-        ShadedVertex &out = tv[i];
-        out.inv_w = 1.0 / clip.w;
-        out.ndc = Vec3(clip.x, clip.y, clip.z) * out.inv_w;
-        const Vec3 n = model.transformDirection(v.normal).normalized();
-        if (shading == ShadingModel::Gouraud) {
-            const double diffuse =
-                std::max(0.0, n.dot(light_dir)) * light.intensity;
-            out.color = v.color * (light.ambient + diffuse);
-        } else {
-            out.color = v.color;
-        }
-        out.normal = n;
-        out.world = world;
-    }
-                });
-
     const int w = width();
     const int h = height();
+    const Mat4 mv = view * lit.model;
+    const Mat4 mvp = proj * mv;
+    if (sphereOutsideView(lit.bound_center, lit.bound_radius, mvp, w, h))
+        return;
+
     const double half_w = w / 2.0;
     const double half_h = h / 2.0;
 
+    // --- Project every vertex. (`char`, not `vector<bool>`: tiles
+    // write disjoint plain bytes, never shared packed words.) ---
+    const std::size_t n = mesh.vertices.size();
+    projected_.resize(n);
+    valid_.resize(n);
+    parallelFor("raster_xform", 0, n, 64,
+                [&](std::size_t vb, std::size_t ve) {
+        for (std::size_t i = vb; i < ve; ++i) {
+            const Vec4 clip = mvp * Vec4(mesh.vertices[i].position, 1.0);
+            valid_[i] = clip.w > 1e-6; // Else behind the near plane.
+            if (!valid_[i])
+                continue;
+            ProjectedVertex &out = projected_[i];
+            out.inv_w = 1.0 / clip.w;
+            // Screen-space coordinates (y down).
+            out.sx = (clip.x * out.inv_w + 1.0) * half_w;
+            out.sy = (1.0 - clip.y * out.inv_w) * half_h;
+            out.z = clip.z * out.inv_w;
+        }
+    });
+
     // --- Triangle setup (serial): cull, clamp, and record screen
     // geometry in submission order. ---
-    std::vector<SetupTriangle> tris;
-    tris.reserve(mesh.indices.size() / 3);
+    tris_.clear();
     for (std::size_t t = 0; t + 2 < mesh.indices.size(); t += 3) {
         const std::uint32_t ia = mesh.indices[t];
         const std::uint32_t ib = mesh.indices[t + 1];
         const std::uint32_t ic = mesh.indices[t + 2];
-        if (!valid[ia] || !valid[ib] || !valid[ic])
+        if (!valid_[ia] || !valid_[ib] || !valid_[ic])
             continue;
-        const ShadedVertex &a = tv[ia];
-        const ShadedVertex &b = tv[ib];
-        const ShadedVertex &c = tv[ic];
-
-        // Screen-space coordinates (y down).
-        const double ax = (a.ndc.x + 1.0) * half_w;
-        const double ay = (1.0 - a.ndc.y) * half_h;
-        const double bx = (b.ndc.x + 1.0) * half_w;
-        const double by = (1.0 - b.ndc.y) * half_h;
-        const double cx = (c.ndc.x + 1.0) * half_w;
-        const double cy = (1.0 - c.ndc.y) * half_h;
+        const double ax = projected_[ia].sx, ay = projected_[ia].sy;
+        const double bx = projected_[ib].sx, by = projected_[ib].sy;
+        const double cx = projected_[ic].sx, cy = projected_[ic].sy;
 
         const double area = edgeFunction(ax, ay, bx, by, cx, cy);
         if (area <= 0.0)
@@ -144,19 +187,34 @@ Rasterizer::draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
         if (x0 > x1 || y0 > y1)
             continue;
         ++stats_.triangles_rasterized;
-        tris.push_back({&a, &b, &c, ax, ay, bx, by, cx, cy, 1.0 / area,
-                        x0, x1, y0, y1});
+        tris_.push_back({ia, ib, ic, ax, ay, bx, by, cx, cy, 1.0 / area,
+                         x0, x1, y0, y1});
     }
+    if (tris_.empty())
+        return;
 
     // --- Bin triangles into horizontal tile bands (serial, so each
     // band sees its triangles in submission order). ---
     const std::size_t bands =
         (static_cast<std::size_t>(h) + kBandRows - 1) / kBandRows;
-    std::vector<std::vector<std::size_t>> bins(bands);
-    for (std::size_t i = 0; i < tris.size(); ++i) {
-        for (int band = tris[i].y0 / kBandRows;
-             band <= tris[i].y1 / kBandRows; ++band)
-            bins[static_cast<std::size_t>(band)].push_back(i);
+    bins_.resize(bands);
+    for (std::vector<std::uint32_t> &bin : bins_)
+        bin.clear();
+    for (std::size_t i = 0; i < tris_.size(); ++i) {
+        for (int band = tris_[i].y0 / kBandRows;
+             band <= tris_[i].y1 / kBandRows; ++band)
+            bins_[static_cast<std::size_t>(band)].push_back(
+                static_cast<std::uint32_t>(i));
+    }
+
+    const Vec3 light_dir = lit.light.direction.normalized();
+    const DirectionalLight &light = lit.light;
+    const bool gouraud = lit.shading == ShadingModel::Gouraud;
+    // Camera position in world space (for specular).
+    Vec3 eye;
+    if (!gouraud) {
+        const Mat4 view_inv = view.inverse();
+        eye = Vec3(view_inv(0, 3), view_inv(1, 3), view_inv(2, 3));
     }
 
     // --- Rasterize bands in parallel. Every pixel belongs to exactly
@@ -170,53 +228,64 @@ Rasterizer::draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
         const int band_y0 = static_cast<int>(band) * kBandRows;
         const int band_y1 = std::min(h - 1, band_y0 + kBandRows - 1);
         std::size_t frags = 0;
-        for (const std::size_t ti : bins[band]) {
-            const SetupTriangle &s = tris[ti];
-            const ShadedVertex &a = *s.a;
-            const ShadedVertex &b = *s.b;
-            const ShadedVertex &c = *s.c;
+        for (const std::uint32_t ti : bins_[band]) {
+            const SetupTriangle &s = tris_[ti];
+            const ProjectedVertex &a = projected_[s.ia];
+            const ProjectedVertex &b = projected_[s.ib];
+            const ProjectedVertex &c = projected_[s.ic];
             const double ax = s.ax, ay = s.ay, bx = s.bx, by = s.by,
                          cx = s.cx, cy = s.cy;
             const double inv_area = s.inv_area;
+            // Edge functions w_k = (sx - px_k) * ey_k - (sy - py_k) *
+            // ex_k, with the per-triangle and per-row products hoisted
+            // out of the pixel loop (same operations, same order).
+            const double e0x = cx - bx, e0y = cy - by;
+            const double e1x = ax - cx, e1y = ay - cy;
+            const double e2x = bx - ax, e2y = by - ay;
         for (int py = std::max(s.y0, band_y0);
              py <= std::min(s.y1, band_y1); ++py) {
+            const double sy = py + 0.5;
+            const double r0 = (sy - by) * e0x;
+            const double r1 = (sy - cy) * e1x;
+            const double r2 = (sy - ay) * e2x;
             for (int px = s.x0; px <= s.x1; ++px) {
                 const double sx = px + 0.5;
-                const double sy = py + 0.5;
-                double w0 = edgeFunction(bx, by, cx, cy, sx, sy);
-                double w1 = edgeFunction(cx, cy, ax, ay, sx, sy);
-                double w2 = edgeFunction(ax, ay, bx, by, sx, sy);
+                double w0 = (sx - bx) * e0y - r0;
+                double w1 = (sx - cx) * e1y - r1;
+                double w2 = (sx - ax) * e2y - r2;
                 if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0)
                     continue; // Outside (all-positive inside).
                 w0 *= inv_area;
                 w1 *= inv_area;
                 w2 *= inv_area;
 
-                const double z =
-                    w0 * a.ndc.z + w1 * b.ndc.z + w2 * c.ndc.z;
+                const double z = w0 * a.z + w1 * b.z + w2 * c.z;
                 if (z < -1.0 || z > 1.0)
                     continue;
                 if (z >= depth_.at(px, py))
                     continue;
 
                 // Perspective-correct interpolation weights.
-                const double iw =
-                    w0 * a.inv_w + w1 * b.inv_w + w2 * c.inv_w;
-                const double pa = w0 * a.inv_w / iw;
-                const double pb = w1 * b.inv_w / iw;
-                const double pc = w2 * c.inv_w / iw;
+                const double wa = w0 * a.inv_w;
+                const double wb = w1 * b.inv_w;
+                const double wc = w2 * c.inv_w;
+                const double iw = wa + wb + wc;
+                const double pa = wa / iw;
+                const double pb = wb / iw;
+                const double pc = wc / iw;
 
-                Vec3 rgb;
-                if (shading == ShadingModel::Gouraud) {
-                    rgb = a.color * pa + b.color * pb + c.color * pc;
-                } else {
-                    const Vec3 base =
-                        a.color * pa + b.color * pb + c.color * pc;
-                    const Vec3 n = (a.normal * pa + b.normal * pb +
-                                    c.normal * pc)
+                const Vec3 base = lit.color[s.ia] * pa +
+                                  lit.color[s.ib] * pb +
+                                  lit.color[s.ic] * pc;
+                Vec3 rgb = base;
+                if (!gouraud) {
+                    const Vec3 n = (lit.normal[s.ia] * pa +
+                                    lit.normal[s.ib] * pb +
+                                    lit.normal[s.ic] * pc)
                                        .normalized();
-                    const Vec3 world = a.world * pa + b.world * pb +
-                                       c.world * pc;
+                    const Vec3 world = lit.world[s.ia] * pa +
+                                       lit.world[s.ib] * pb +
+                                       lit.world[s.ic] * pc;
                     const double diffuse =
                         std::max(0.0, n.dot(light_dir)) *
                         light.intensity;

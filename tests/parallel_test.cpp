@@ -697,18 +697,36 @@ TEST(KernelEquivalence, BinauralFir)
 
 TEST(KernelEquivalence, RasterizerTiles)
 {
+    // Several frames per app, so later frames take the cached-lighting
+    // path (static objects reused, moving ones relit).
     AppConfig cfg;
     cfg.eye_width = 72;
     cfg.eye_height = 72;
-    expectWidthInvariant(
-        [&] {
-            XrApplication app(AppId::ArDemo, cfg);
-            const Pose head(Quat::identity(), Vec3(0, 1.2, 0));
-            return app.renderFrame(head, 0.125);
-        },
-        [](const StereoFrame &a, const StereoFrame &b) {
-            return sameRgb(a.left, b.left) && sameRgb(a.right, b.right);
-        });
+    for (const AppId id : {AppId::ArDemo, AppId::Sponza, AppId::Materials}) {
+        expectWidthInvariant(
+            [&] {
+                XrApplication app(id, cfg);
+                std::vector<StereoFrame> frames;
+                for (int i = 0; i < 3; ++i) {
+                    const Pose head(
+                        Quat::fromAxisAngle(Vec3(0, 1, 0), 0.3 * i),
+                        Vec3(0.2 * i, 1.2, 0.5 * i));
+                    frames.push_back(app.renderFrame(head, 0.125 * (i + 1)));
+                }
+                return std::make_pair(frames, app.stats());
+            },
+            [](const auto &a, const auto &b) {
+                for (std::size_t i = 0; i < a.first.size(); ++i)
+                    if (!sameRgb(a.first[i].left, b.first[i].left) ||
+                        !sameRgb(a.first[i].right, b.first[i].right))
+                        return false;
+                const RasterStats &sa = a.second, &sb = b.second;
+                return sa.triangles_submitted == sb.triangles_submitted &&
+                       sa.triangles_rasterized == sb.triangles_rasterized &&
+                       sa.fragments_shaded == sb.fragments_shaded &&
+                       sa.draw_calls == sb.draw_calls;
+            });
+    }
 }
 
 } // namespace

@@ -4,14 +4,18 @@
  * application driver.
  */
 
+#include "foundation/rng.hpp"
 #include "render/app.hpp"
 #include "render/mesh.hpp"
 #include "render/rasterizer.hpp"
 #include "render/scenes.hpp"
+#include "sensors/trajectory.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 namespace illixr {
 namespace {
@@ -131,6 +135,149 @@ TEST(RasterizerTest, GouraudLightingDependsOnNormal)
     EXPECT_GT(top, bottom + 0.1);
 }
 
+/** Unit vector drawn uniformly from the sphere. */
+Vec3
+randomDirection(Rng &rng)
+{
+    for (;;) {
+        const Vec3 v(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                     rng.uniform(-1, 1));
+        const double n = v.norm();
+        if (n > 0.1 && n <= 1.0)
+            return v / n;
+    }
+}
+
+/** Look-at view whose up vector is never parallel to @p dir. */
+Mat4
+viewAlong(const Vec3 &eye, const Vec3 &dir)
+{
+    const Vec3 up = std::fabs(dir.y) < 0.9 ? Vec3(0, 1, 0) : Vec3(1, 0, 0);
+    return Mat4::lookAt(eye, eye + dir, up);
+}
+
+TEST(RasterizerTest, WholeObjectRejectIsSound)
+{
+    // Random views: anywhere, looking away, standing inside the
+    // object, and with the object straddling the eye plane. Whenever
+    // the reject fires, brute-force projection must show that every
+    // vertex is behind the eye (w <= 1e-6) or more than 1 px beyond
+    // one and the same screen edge.
+    const Vec3 white(1, 1, 1);
+    const Mesh meshes[] = {
+        makeSphere(0.8, 10, 14, white),
+        makeBox(Vec3(0.3, 1.2, 2.0), white),
+        makeCylinder(0.35, 3.2, 24, white),
+        makeTorus(0.85, 0.14, 24, 8, white),
+        makePlane(16.0, 10.0, 6, white, white),
+    };
+    Rng rng(2024);
+    int fired = 0, kept = 0, straddling_fired = 0;
+    for (int trial = 0; trial < 6000; ++trial) {
+        const Mesh &mesh = meshes[trial % 5];
+        const int width = 32 + 16 * static_cast<int>(rng.uniformInt(7));
+        const int height = 32 + 16 * static_cast<int>(rng.uniformInt(7));
+        const Mat4 proj = Mat4::perspective(
+            1.5, static_cast<double>(width) / height, 0.1, 60.0);
+        const Mat4 model =
+            Mat4::translation(Vec3(rng.uniform(-3, 3), rng.uniform(-3, 3),
+                                   rng.uniform(-3, 3))) *
+            Mat4::fromRotation(Quat::fromAxisAngle(randomDirection(rng),
+                                                   rng.uniform(0, 6.3))
+                                   .toMatrix()) *
+            Mat4::scale(Vec3(rng.uniform(0.5, 2), rng.uniform(0.5, 2),
+                             rng.uniform(0.5, 2)));
+        LitMesh lit;
+        lightMesh(mesh, model, DirectionalLight{}, ShadingModel::Gouraud,
+                  lit);
+        for (const Vertex &v : mesh.vertices)
+            ASSERT_LE((v.position - lit.bound_center).norm(),
+                      lit.bound_radius);
+
+        const Vec3 center = model.transformPoint(lit.bound_center);
+        Vec3 eye, dir;
+        switch ((trial / 5) % 4) {
+          case 0: // Anywhere, any direction.
+            eye = center + randomDirection(rng) * rng.uniform(0, 12);
+            dir = randomDirection(rng);
+            break;
+          case 1: // Looking away from the object.
+            eye = center + randomDirection(rng) * rng.uniform(0.5, 8);
+            dir = (eye - center).normalized();
+            break;
+          case 2: // Standing inside it.
+            eye = center + randomDirection(rng) * rng.uniform(0, 0.3);
+            dir = randomDirection(rng);
+            break;
+          default: { // Centre near the eye plane, off to one side.
+            const Vec3 side = randomDirection(rng);
+            eye = center + side * rng.uniform(0.5, 10);
+            dir = side.cross(randomDirection(rng)).normalized();
+            eye = eye + dir * rng.uniform(-0.3, 0.3);
+            break;
+          }
+        }
+        const Mat4 mvp = proj * (viewAlong(eye, dir) * model);
+        if (!sphereOutsideView(lit.bound_center, lit.bound_radius, mvp,
+                               width, height)) {
+            ++kept;
+            continue;
+        }
+        ++fired;
+
+        // Brute force: which edges is every visible vertex beyond?
+        bool all_left = true, all_right = true, all_top = true,
+             all_bottom = true, any_behind = false, any_front = false;
+        for (const Vertex &v : mesh.vertices) {
+            const Vec4 clip = mvp * Vec4(v.position, 1.0);
+            (clip.w <= 0.0 ? any_behind : any_front) = true;
+            if (clip.w <= 1e-6)
+                continue;
+            const double inv_w = 1.0 / clip.w;
+            const double sx = (clip.x * inv_w + 1.0) * (width / 2.0);
+            const double sy = (1.0 - clip.y * inv_w) * (height / 2.0);
+            all_left = all_left && sx < -1.0;
+            all_right = all_right && sx > width + 1.0;
+            all_top = all_top && sy < -1.0;
+            all_bottom = all_bottom && sy > height + 1.0;
+        }
+        EXPECT_TRUE(all_left || all_right || all_top || all_bottom)
+            << "trial " << trial << ": a vertex may reach the screen";
+        if (any_behind && any_front)
+            ++straddling_fired;
+    }
+    // Non-vacuous: both outcomes occur, including rejects of objects
+    // whose vertices lie on both sides of the eye plane.
+    EXPECT_GT(fired, 500);
+    EXPECT_GT(kept, 500);
+    EXPECT_GT(straddling_fired, 20);
+}
+
+TEST(RasterizerTest, RejectKeepsObjectsBeyondNearAndFarPlanes)
+{
+    // Near/far are not reject planes: triangles there still count as
+    // rasterized (their fragments fail the per-pixel depth range).
+    const Mat4 proj = Mat4::perspective(1.2, 1.0, 0.1, 50.0);
+    const Mesh box = makeBox(Vec3(0.5, 0.5, 0.5), Vec3(1, 1, 1));
+    const Mat4 far_model = Mat4::translation(Vec3(0, 0, -80));
+    const Mesh tiny = makeBox(Vec3(0.01, 0.01, 0.01), Vec3(1, 1, 1));
+    const Mat4 near_model = Mat4::translation(Vec3(0, 0, -0.05));
+    for (const auto &[mesh, model] :
+         {std::pair<const Mesh *, Mat4>{&box, far_model},
+          std::pair<const Mesh *, Mat4>{&tiny, near_model}}) {
+        LitMesh lit;
+        lightMesh(*mesh, model, DirectionalLight{}, ShadingModel::Gouraud,
+                  lit);
+        EXPECT_FALSE(sphereOutsideView(lit.bound_center, lit.bound_radius,
+                                       proj * model, 32, 32));
+        Rasterizer r(32, 32);
+        r.clear(Vec3(0, 0, 0));
+        r.draw(*mesh, lit, Mat4::identity(), proj);
+        EXPECT_GT(r.stats().triangles_rasterized, 0u);
+        EXPECT_EQ(r.stats().fragments_shaded, 0u);
+    }
+}
+
 TEST(SceneTest, ComplexityOrderingMatchesPaper)
 {
     // Sponza most graphics-intensive, AR demo least (paper §III-C).
@@ -214,6 +361,168 @@ TEST(AppTest, RenderCostOrderingMatchesPaper)
     EXPECT_GT(shaded[0], shaded[1]);
     EXPECT_GT(shaded[1], shaded[2]);
     EXPECT_GT(shaded[2], shaded[3]);
+}
+
+/** FNV-1a over the bytes of @p n floats. */
+std::uint64_t
+fnv1a(std::uint64_t h, const float *data, std::size_t n)
+{
+    const auto *bytes = reinterpret_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < n * sizeof(float); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t x)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (x >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+digestImage(std::uint64_t h, const RgbImage &img)
+{
+    const std::size_t n = static_cast<std::size_t>(img.width()) *
+                          static_cast<std::size_t>(img.height());
+    h = fnv1a(h, img.r.data(), n);
+    h = fnv1a(h, img.g.data(), n);
+    return fnv1a(h, img.b.data(), n);
+}
+
+std::uint64_t
+digestStats(std::uint64_t h, const RasterStats &s)
+{
+    h = fnv1a(h, s.triangles_submitted);
+    h = fnv1a(h, s.triangles_rasterized);
+    h = fnv1a(h, s.fragments_shaded);
+    return fnv1a(h, s.draw_calls);
+}
+
+bool
+sameImage(const RgbImage &a, const RgbImage &b)
+{
+    const std::size_t n = static_cast<std::size_t>(a.width()) *
+                          static_cast<std::size_t>(a.height());
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::memcmp(a.r.data(), b.r.data(), n * sizeof(float)) == 0 &&
+           std::memcmp(a.g.data(), b.g.data(), n * sizeof(float)) == 0 &&
+           std::memcmp(a.b.data(), b.b.data(), n * sizeof(float)) == 0;
+}
+
+constexpr int kGoldenFrames = 120;
+constexpr double kGoldenFrameDt = 0.05; ///< 6 s of lab walk.
+
+/** Head pose and app time of golden frame @p i. */
+Pose
+goldenHead(const Trajectory &traj, int i)
+{
+    return traj.pose(i * kGoldenFrameDt);
+}
+
+/**
+ * Render the golden sequence: 120 lab-walk (seed 7) frames of @p app
+ * at @p eye px, switching to @p eye + 32 px halfway through. Returns
+ * an FNV-1a digest of every frame's colour channels and running
+ * RasterStats.
+ */
+std::uint64_t
+goldenDigest(AppId id, int eye)
+{
+    const Trajectory traj = Trajectory::labWalk(7);
+    AppConfig cfg;
+    cfg.eye_width = eye;
+    cfg.eye_height = eye;
+    XrApplication app(id, cfg);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < kGoldenFrames; ++i) {
+        if (i == kGoldenFrames / 2)
+            app.setEyeResolution(eye + 32);
+        const StereoFrame f =
+            app.renderFrame(goldenHead(traj, i), i * kGoldenFrameDt);
+        h = digestImage(h, f.left);
+        h = digestImage(h, f.right);
+        h = digestStats(h, app.stats());
+    }
+    return h;
+}
+
+TEST(RenderTest, FramesMatchSeedDigests)
+{
+    // Digests of the original per-eye-lighting renderer. Caching and
+    // culling are pure optimizations: every pixel and every
+    // RasterStats field must stay bit-identical.
+    struct Golden
+    {
+        AppId app;
+        int eye;
+        std::uint64_t digest;
+    };
+    const Golden golden[] = {
+        {AppId::Sponza, 64, 0x80c89483b7bfef6dULL},
+        {AppId::Sponza, 80, 0xd0a27101928914a3ULL},
+        {AppId::Materials, 64, 0xdadae9bc68f3f56aULL},
+        {AppId::Materials, 80, 0x295a102e6a8db46aULL},
+        {AppId::Platformer, 64, 0xc32bfec77a06972aULL},
+        {AppId::Platformer, 80, 0x86f95f9844119843ULL},
+        {AppId::ArDemo, 64, 0x2de312932a7143bdULL},
+        {AppId::ArDemo, 80, 0x01b524914fe733c8ULL},
+    };
+    for (const Golden &g : golden) {
+        const std::uint64_t d = goldenDigest(g.app, g.eye);
+        EXPECT_EQ(d, g.digest)
+            << appName(g.app) << " @ " << g.eye << " px: got 0x"
+            << std::hex << d;
+    }
+}
+
+TEST(RenderTest, ColdAppMatchesWarmApp)
+{
+    // A fresh XrApplication per frame (nothing cached) must render the
+    // same frames and per-frame stats as one reused instance, and so
+    // must a copy or a moved-from copy taken mid-run.
+    const Trajectory traj = Trajectory::labWalk(7);
+    AppConfig cfg;
+    cfg.eye_width = 64;
+    cfg.eye_height = 64;
+    for (const AppId id : {AppId::Platformer, AppId::Materials}) {
+        XrApplication warm(id, cfg);
+        XrApplication copied(id, cfg);
+        RasterStats prev;
+        for (int i = 0; i < 40; ++i) {
+            const Pose head = goldenHead(traj, i);
+            const double t = i * kGoldenFrameDt;
+            XrApplication cold(id, cfg);
+            const StereoFrame c = cold.renderFrame(head, t);
+            const StereoFrame w = warm.renderFrame(head, t);
+            ASSERT_TRUE(sameImage(c.left, w.left)) << appName(id) << i;
+            ASSERT_TRUE(sameImage(c.right, w.right)) << appName(id) << i;
+            RasterStats delta = warm.stats();
+            delta.triangles_submitted -= prev.triangles_submitted;
+            delta.triangles_rasterized -= prev.triangles_rasterized;
+            delta.fragments_shaded -= prev.fragments_shaded;
+            delta.draw_calls -= prev.draw_calls;
+            EXPECT_EQ(digestStats(0, delta), digestStats(0, cold.stats()))
+                << appName(id) << i;
+            prev = warm.stats();
+
+            if (i == 20) {
+                XrApplication tmp(warm); // Copy, then move.
+                copied = std::move(tmp);
+            }
+            if (i >= 20) {
+                const StereoFrame k = copied.renderFrame(head, t);
+                ASSERT_TRUE(sameImage(k.left, w.left)) << appName(id) << i;
+                ASSERT_TRUE(sameImage(k.right, w.right))
+                    << appName(id) << i;
+            }
+        }
+    }
 }
 
 TEST(EyePoseTest, IpdSeparatesEyes)

@@ -340,9 +340,14 @@ TEST(SimdKernels, GemmOddColumnsMatchScalarReference)
         for (std::size_t j = 0; j < 7; ++j)
             b(i, j) = rng.uniform(-1.0, 1.0);
     a(2, 3) = 0.0; // Exercise the zero-skip.
+    // transposeTimes contracts over rows: a^T (5x6) * c (6x7).
+    MatX c(6, 7);
+    for (std::size_t i = 0; i < 6; ++i)
+        for (std::size_t j = 0; j < 7; ++j)
+            c(i, j) = rng.uniform(-1.0, 1.0);
 
     const MatX prod = a * b;
-    const MatX tn = a.transposeTimes(b);
+    const MatX tn = a.transposeTimes(c);
 
     // Reference with the kernel's k-ascending axpy order.
     MatX want(6, 7);
@@ -359,6 +364,7 @@ TEST(SimdKernels, GemmOddColumnsMatchScalarReference)
             EXPECT_TRUE(bitEqual(prod(i, j), want(i, j)))
                 << i << "," << j;
 
+    // Reference for a^T c, also k-ascending.
     MatX want_tn(5, 7);
     for (std::size_t k = 0; k < 6; ++k)
         for (std::size_t i = 0; i < 5; ++i) {
@@ -366,8 +372,10 @@ TEST(SimdKernels, GemmOddColumnsMatchScalarReference)
             if (s == 0.0)
                 continue;
             for (std::size_t j = 0; j < 7; ++j)
-                want_tn(i, j) += s * b(k, j);
+                want_tn(i, j) += s * c(k, j);
         }
+    ASSERT_EQ(tn.rows(), 5u);
+    ASSERT_EQ(tn.cols(), 7u);
     for (std::size_t i = 0; i < 5; ++i)
         for (std::size_t j = 0; j < 7; ++j)
             EXPECT_TRUE(bitEqual(tn(i, j), want_tn(i, j)))
