@@ -79,6 +79,22 @@ EdgeServer::disconnect(std::uint64_t client)
                                   }),
                    pending_.end());
     clients_.erase(client);
+    started_cv_.notify_all();
+}
+
+void
+EdgeServer::awaitFleetStart(std::uint64_t client)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto it = clients_.find(client);
+    if (it == clients_.end())
+        return;
+    it->second.started = true;
+    started_cv_.notify_all();
+    started_cv_.wait_for(lock, kFleetStartTimeout, [this] {
+        return std::all_of(clients_.begin(), clients_.end(),
+                           [](const auto &c) { return c.second.started; });
+    });
 }
 
 double

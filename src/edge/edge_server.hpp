@@ -42,6 +42,8 @@
 #include "foundation/stats.hpp"
 #include "offload/edge_service.hpp"
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -79,6 +81,9 @@ struct EdgeServerConfig
 class EdgeServer final : public EdgeService
 {
   public:
+    /** Longest wait in awaitFleetStart(), wall clock. */
+    static constexpr std::chrono::seconds kFleetStartTimeout{5};
+
     explicit EdgeServer(const EdgeServerConfig &config = {});
 
     /** Intern `edge.*` handles into @p metrics (nullptr to disable):
@@ -92,6 +97,10 @@ class EdgeServer final : public EdgeService
     // EdgeService
     bool connect(std::uint64_t client) override;
     void disconnect(std::uint64_t client) override;
+    /** Waits until every connected client has called it, or at most
+     *  kFleetStartTimeout (a connected client whose session is still
+     *  queued must not stall the running ones forever). */
+    void awaitFleetStart(std::uint64_t client) override;
     bool submit(const EdgeRequest &request) override;
     void pump(TimePoint now) override;
     std::vector<EdgeCompletion> poll(std::uint64_t client) override;
@@ -116,6 +125,7 @@ class EdgeServer final : public EdgeService
     struct ClientState
     {
         std::size_t queued = 0; ///< This client's share of pending_.
+        bool started = false;   ///< Reached awaitFleetStart().
         std::vector<EdgeCompletion> done;
         SampleSeries service_ms;
     };
@@ -126,6 +136,7 @@ class EdgeServer final : public EdgeService
     EdgeServerConfig config_;
 
     mutable std::mutex mutex_;
+    std::condition_variable started_cv_;
     std::map<std::uint64_t, ClientState> clients_;
     /** Admitted, unlaunched requests, kept sorted by
      *  (arrival, client, seq) — the one canonical order. */

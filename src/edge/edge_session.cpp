@@ -31,6 +31,9 @@ attachEdgeClient(SessionConfig &config, std::uint64_t client_id,
     const bool owned = !server;
     if (!server)
         server = makeEdgeServer(config.edge);
+    // Join the fleet now, not when the session builds its plugins, so
+    // the start barrier waits for sessions still in set-up.
+    server->connect(client_id);
 
     OffloadConfig offload;
     offload.link = link;

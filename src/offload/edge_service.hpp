@@ -96,6 +96,14 @@ class EdgeService
     virtual void disconnect(std::uint64_t client) = 0;
 
     /**
+     * Start barrier, called by @p client just before its virtual clock
+     * starts. Sessions sharing a server each start their clock at 0;
+     * holding them until every connected client arrives keeps their
+     * clocks aligned in wall time. Default: no barrier.
+     */
+    virtual void awaitFleetStart(std::uint64_t client) { (void)client; }
+
+    /**
      * Offer a request to admission control. @return false when the
      * request was rejected outright (no completion is produced);
      * admitted requests always produce exactly one completion, with

@@ -39,6 +39,14 @@ OffloadedVioPlugin::OffloadedVioPlugin(const Phonebook &pb,
 }
 
 void
+OffloadedVioPlugin::start(const Phonebook &phonebook)
+{
+    (void)phonebook;
+    if (config_.edge)
+        config_.edge->awaitFleetStart(config_.client_id);
+}
+
+void
 OffloadedVioPlugin::publishBreakerTransition(TimePoint now)
 {
     const CircuitBreaker::State state = breaker_.state();

@@ -82,6 +82,7 @@ class OffloadedVioPlugin : public Plugin
     OffloadedVioPlugin(const Phonebook &pb, const SystemTuning &tuning,
                        const OffloadConfig &config);
 
+    void start(const Phonebook &phonebook) override;
     void iterate(TimePoint now) override;
     Duration period() const override
     {

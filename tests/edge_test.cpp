@@ -14,6 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 namespace illixr {
 namespace {
@@ -69,6 +72,28 @@ TEST(EdgeServerTest, ConnectIsBoundedAndKeyed)
     EXPECT_EQ(server.connectedClients(), 2u);
     server.disconnect(1);
     EXPECT_TRUE(server.connect(3));
+}
+
+TEST(EdgeServerTest, FleetStartWaitsForEveryConnectedClient)
+{
+    // Sessions sharing a server start their virtual clocks together:
+    // client 1 is held until client 2 (still in set-up) arrives, and
+    // a disconnected client is not waited for.
+    EdgeServer server;
+    ASSERT_TRUE(server.connect(1));
+    ASSERT_TRUE(server.connect(2));
+    ASSERT_TRUE(server.connect(3));
+    server.disconnect(3);
+    std::atomic<bool> second_arrived{false};
+    std::thread first([&] {
+        server.awaitFleetStart(1);
+        EXPECT_TRUE(second_arrived.load());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    second_arrived = true;
+    server.awaitFleetStart(2);
+    first.join();
+    server.awaitFleetStart(7); // Unknown client: no wait.
 }
 
 TEST(EdgeServerTest, ShedsUnmeetableDeadlineAtSubmit)
