@@ -1,19 +1,17 @@
 /**
  * @file
- * Microbenchmarks of the Switchboard data plane (DESIGN.md §7):
- * pooled publish, seqlock latest(), sync-ring drain, and a 1-writer /
- * 4-reader fan-out — each next to an in-binary "legacy" mirror of the
- * pre-transport-swap design (per-topic mutex around a shared latest
- * pointer, mutex+deque sync readers, make_shared per event) so the
- * speedup is measured against the real predecessor, not a strawman.
+ * Microbenchmarks of the Switchboard data plane (DESIGN.md §7): event
+ * allocation, publish, latest(), sync-ring drain, and a 1-writer /
+ * 4-reader fan-out. The ring drain and the fan-outs also run against
+ * an in-binary "legacy" mirror of the pre-ring design (per-topic mutex
+ * around a shared latest pointer, mutex+deque sync readers), the part
+ * of the predecessor that still differs from the current code.
  *
  * `--json PATH` additionally records a steady-state allocation audit:
  * the binary overrides global operator new/delete with counting
- * wrappers, drives 100k pooled publish→drain cycles after warmup, and
- * reports `transport.alloc_per_event` (expected: 0.0) plus the pool
- * hit rate over the audited window (`transport.pool.miss_per_10k`,
- * expected: 0.0; `sb.pool.*` counters carry the same numbers inside
- * integrated runs).
+ * wrappers, drives 100k publish→latest→drain cycles after warmup, and
+ * reports `transport.alloc_per_event` (expected: 1.0, the event's own
+ * make_shared; the rest of the path allocates nothing).
  */
 
 #include "bench_json.hpp"
@@ -175,11 +173,11 @@ struct LegacyTopic
 
 // ------------------------------------------------------------------ make
 //
-// Allocation-path cost alone: pooled allocate_shared against plain
-// make_shared, event constructed and immediately dropped.
+// Allocation-path cost alone: event constructed and immediately
+// dropped.
 
 void
-BM_MakePooled(benchmark::State &state)
+BM_Make(benchmark::State &state)
 {
     Switchboard sb;
     auto writer = sb.writer<BenchEvent>("bench/pose");
@@ -188,22 +186,12 @@ BM_MakePooled(benchmark::State &state)
         benchmark::DoNotOptimize(e.get());
     }
 }
-BENCHMARK(BM_MakePooled);
-
-void
-BM_MakeHeap(benchmark::State &state)
-{
-    for (auto _ : state) {
-        auto e = std::make_shared<BenchEvent>();
-        benchmark::DoNotOptimize(e.get());
-    }
-}
-BENCHMARK(BM_MakeHeap);
+BENCHMARK(BM_Make);
 
 // --------------------------------------------------------------- publish
 
 void
-BM_PublishPooled(benchmark::State &state)
+BM_Publish(benchmark::State &state)
 {
     Switchboard sb;
     auto writer = sb.writer<BenchEvent>("bench/pose");
@@ -213,24 +201,12 @@ BM_PublishPooled(benchmark::State &state)
         writer.put(std::move(e));
     }
 }
-BENCHMARK(BM_PublishPooled);
-
-void
-BM_PublishLegacy(benchmark::State &state)
-{
-    LegacyTopic topic;
-    for (auto _ : state) {
-        auto e = std::make_shared<BenchEvent>();
-        e->time = 1;
-        topic.publish(std::move(e));
-    }
-}
-BENCHMARK(BM_PublishLegacy);
+BENCHMARK(BM_Publish);
 
 // ---------------------------------------------------------------- latest
 
 void
-BM_LatestSeqlock(benchmark::State &state)
+BM_Latest(benchmark::State &state)
 {
     Switchboard sb;
     auto writer = sb.writer<BenchEvent>("bench/pose");
@@ -241,19 +217,7 @@ BM_LatestSeqlock(benchmark::State &state)
         benchmark::DoNotOptimize(e);
     }
 }
-BENCHMARK(BM_LatestSeqlock);
-
-void
-BM_LatestLegacy(benchmark::State &state)
-{
-    LegacyTopic topic;
-    topic.publish(std::make_shared<BenchEvent>());
-    for (auto _ : state) {
-        auto e = topic.latestCopy();
-        benchmark::DoNotOptimize(e);
-    }
-}
-BENCHMARK(BM_LatestLegacy);
+BENCHMARK(BM_Latest);
 
 // ------------------------------------------------------------ sync drain
 //
@@ -480,7 +444,7 @@ allocationAudit(benchjson::JsonCollectingReporter &reporter)
     std::vector<std::shared_ptr<const BenchEvent>> out;
     out.reserve(2048);
 
-    // Warmup: size the pool and the drain vector.
+    // Warmup: size the ring and the drain vector.
     for (std::size_t i = 0; i < 2048; ++i) {
         writer.put(writer.make());
         if (i % 64 == 63) {
@@ -491,7 +455,6 @@ allocationAudit(benchjson::JsonCollectingReporter &reporter)
     out.clear();
     reader.popAll(out);
 
-    const auto before_pool = sb.poolStats("bench/pose");
     constexpr std::uint64_t kEvents = 100000;
     g_allocs.store(0, std::memory_order_relaxed);
     g_count.store(true, std::memory_order_relaxed);
@@ -506,22 +469,14 @@ allocationAudit(benchjson::JsonCollectingReporter &reporter)
     }
     g_count.store(false, std::memory_order_relaxed);
     const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed);
-    const auto after_pool = sb.poolStats("bench/pose");
 
     const double per_event =
         static_cast<double>(allocs) / static_cast<double>(kEvents);
-    const double misses = static_cast<double>(after_pool.misses -
-                                              before_pool.misses);
     reporter.add("transport.alloc_per_event", per_event);
-    reporter.add("transport.pool.miss_per_10k",
-                 misses * 10000.0 / static_cast<double>(kEvents));
-    reporter.add("transport.pool.hit_rate_pct",
-                 after_pool.hit_rate * 100.0);
     std::printf("steady-state audit: %llu heap allocations over %llu "
-                "events (%.4f/event), pool hit rate %.2f%%\n",
+                "events (%.4f/event)\n",
                 static_cast<unsigned long long>(allocs),
-                static_cast<unsigned long long>(kEvents), per_event,
-                after_pool.hit_rate * 100.0);
+                static_cast<unsigned long long>(kEvents), per_event);
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 #include "linalg/decomp.hpp"
 
+#include "foundation/check.hpp"
 #include "foundation/simd.hpp"
 #include "runtime/parallel.hpp"
 
@@ -279,7 +280,8 @@ HouseholderQR::rank(double rel_tol) const
 VecX
 luSolve(const MatX &a, const VecX &b)
 {
-    assert(a.rows() == a.cols() && a.rows() == b.size());
+    ILLIXR_CHECK(a.rows() == a.cols() && a.rows() == b.size(),
+                 "luSolve: a must be square and match b");
     const std::size_t n = a.rows();
     MatX lu = a;
     VecX x = b;
@@ -335,7 +337,8 @@ luInverse(const MatX &a)
 VecX
 forwardSubstitute(const MatX &l, const VecX &b)
 {
-    assert(l.rows() == l.cols() && l.rows() == b.size());
+    ILLIXR_CHECK(l.rows() == l.cols() && l.rows() == b.size(),
+                 "forwardSubstitute: l must be square and match b");
     const std::size_t n = l.rows();
     VecX y(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -350,7 +353,8 @@ forwardSubstitute(const MatX &l, const VecX &b)
 VecX
 backSubstitute(const MatX &u, const VecX &y)
 {
-    assert(u.rows() == u.cols() && u.rows() == y.size());
+    ILLIXR_CHECK(u.rows() == u.cols() && u.rows() == y.size(),
+                 "backSubstitute: u must be square and match y");
     const std::size_t n = u.rows();
     VecX x(n);
     for (std::size_t ii = n; ii-- > 0;) {

@@ -1,5 +1,6 @@
 #include "linalg/matrix.hpp"
 
+#include "foundation/check.hpp"
 #include "foundation/simd.hpp"
 #include "runtime/parallel.hpp"
 
@@ -137,7 +138,8 @@ MatX::fromRows(std::initializer_list<std::initializer_list<double>> rows)
 MatX
 MatX::operator+(const MatX &o) const
 {
-    assert(rows_ == o.rows_ && cols_ == o.cols_);
+    ILLIXR_CHECK(rows_ == o.rows_ && cols_ == o.cols_,
+                 "MatX::operator+: shape mismatch");
     MatX r(rows_, cols_);
     for (std::size_t i = 0; i < data_.size(); ++i)
         r.data_[i] = data_[i] + o.data_[i];
@@ -147,7 +149,8 @@ MatX::operator+(const MatX &o) const
 MatX
 MatX::operator-(const MatX &o) const
 {
-    assert(rows_ == o.rows_ && cols_ == o.cols_);
+    ILLIXR_CHECK(rows_ == o.rows_ && cols_ == o.cols_,
+                 "MatX::operator-: shape mismatch");
     MatX r(rows_, cols_);
     for (std::size_t i = 0; i < data_.size(); ++i)
         r.data_[i] = data_[i] - o.data_[i];
@@ -157,7 +160,7 @@ MatX::operator-(const MatX &o) const
 MatX
 MatX::operator*(const MatX &o) const
 {
-    assert(cols_ == o.rows_);
+    ILLIXR_CHECK(cols_ == o.rows_, "MatX::operator*: inner dimensions differ");
     MatX r(rows_, o.cols_);
     // i-k-j loop order keeps the inner loop contiguous for row-major;
     // output rows are independent, so the MSCKF covariance GEMMs tile
@@ -185,7 +188,7 @@ MatX::operator*(double s) const
 VecX
 MatX::operator*(const VecX &v) const
 {
-    assert(cols_ == v.size());
+    ILLIXR_CHECK(cols_ == v.size(), "MatX::operator*(VecX): size mismatch");
     VecX r(rows_);
     for (std::size_t i = 0; i < rows_; ++i) {
         double acc = 0.0;
@@ -200,7 +203,8 @@ MatX::operator*(const VecX &v) const
 MatX &
 MatX::operator+=(const MatX &o)
 {
-    assert(rows_ == o.rows_ && cols_ == o.cols_);
+    ILLIXR_CHECK(rows_ == o.rows_ && cols_ == o.cols_,
+                 "MatX::operator+=: shape mismatch");
     for (std::size_t i = 0; i < data_.size(); ++i)
         data_[i] += o.data_[i];
     return *this;
@@ -209,7 +213,8 @@ MatX::operator+=(const MatX &o)
 MatX &
 MatX::operator-=(const MatX &o)
 {
-    assert(rows_ == o.rows_ && cols_ == o.cols_);
+    ILLIXR_CHECK(rows_ == o.rows_ && cols_ == o.cols_,
+                 "MatX::operator-=: shape mismatch");
     for (std::size_t i = 0; i < data_.size(); ++i)
         data_[i] -= o.data_[i];
     return *this;
@@ -228,7 +233,7 @@ MatX::transpose() const
 MatX
 MatX::transposeTimes(const MatX &o) const
 {
-    assert(rows_ == o.rows_);
+    ILLIXR_CHECK(rows_ == o.rows_, "MatX::transposeTimes: row counts differ");
     MatX r(cols_, o.cols_);
     if (cols_ * rows_ * o.cols_ >= kGemmParallelFlops) {
         // Row-partition the output: each out(i, j) still accumulates
@@ -265,7 +270,8 @@ MatX::transposeTimes(const MatX &o) const
 MatX
 MatX::timesTranspose(const MatX &o) const
 {
-    assert(cols_ == o.cols_);
+    ILLIXR_CHECK(cols_ == o.cols_,
+                 "MatX::timesTranspose: column counts differ");
     MatX r(rows_, o.rows_);
     auto rows_kernel = [&](std::size_t ib, std::size_t ie) {
         gemmNtRowRange(r.data_.data(), data_.data(), o.data_.data(), ib, ie,

@@ -7,86 +7,6 @@
 namespace illixr {
 
 // ---------------------------------------------------------------------------
-// LatestSlots: pin-claim protected latest-value slots.
-//
-// One atomic word per slot carries both roles: the low bits count
-// readers currently copying the slot's shared_ptr, the high bit
-// (kWriterBit) is the writer's exclusive claim. Because every crossing
-// operation is an RMW on that same word, coherence totally orders them
-// — either the writer's claim-CAS observes a reader's pin (and fails,
-// sending the writer to the next slot), or the reader's pin-increment
-// observes the claim bit (and backs off) — with no cross-variable
-// fencing. All synchronization is acquire/release on the pin word:
-// the writer's plain shared_ptr store is ordered by its claim
-// (acquire) and release (release-RMW); a reader's copy is ordered by
-// its pin (acquire, reading from the writer's release).
-//
-// A pinned slot is never overwritten, so the value a reader copies is
-// kept alive by the slot itself for the whole copy; it is always the
-// value the cursor advertised or a newer one (slots are reused in
-// publish order), which is exactly latest() semantics.
-// ---------------------------------------------------------------------------
-
-void
-LatestSlots::store(EventPtr event, std::uint64_t publish_count)
-{
-    for (std::size_t probe = 0; probe < kSlots; ++probe) {
-        const std::size_t idx =
-            static_cast<std::size_t>((publish_count + probe) % kSlots);
-        Slot &s = slots_[idx];
-        std::uint32_t expected = 0;
-        if (!s.pins.compare_exchange_strong(expected, kWriterBit,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed))
-            continue; // A reader is mid-copy here; try the next slot.
-        s.value = std::move(event);
-        s.pins.fetch_sub(kWriterBit, std::memory_order_release);
-        cursor_.store((publish_count << kIndexBits) | idx,
-                      std::memory_order_release);
-        return;
-    }
-
-    // Pathological: kSlots readers all stalled mid-copy at once. Fall
-    // back to a mutex-guarded side slot so the publisher still never
-    // waits on any individual reader.
-    {
-        std::lock_guard<std::mutex> lock(fallback_mutex_);
-        fallback_ = std::move(event);
-    }
-    fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    cursor_.store((publish_count << kIndexBits) | kFallbackIndex,
-                  std::memory_order_release);
-}
-
-EventPtr
-LatestSlots::load() const
-{
-    for (;;) {
-        const std::uint64_t c = cursor_.load(std::memory_order_acquire);
-        if (c == 0)
-            return nullptr;
-        const std::uint64_t idx = c & kIndexMask;
-        if (idx == kFallbackIndex) {
-            std::lock_guard<std::mutex> lock(fallback_mutex_);
-            return fallback_;
-        }
-        const Slot &s = slots_[idx];
-        if (s.pins.fetch_add(1, std::memory_order_acquire) &
-            kWriterBit) {
-            // The writer claimed this slot between the cursor read
-            // and the pin; a newer cursor is already (or about to be)
-            // published, so restart from it.
-            s.pins.fetch_sub(1, std::memory_order_relaxed);
-            retries_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        EventPtr e = s.value;
-        s.pins.fetch_sub(1, std::memory_order_release);
-        return e;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SyncReader: bounded ring with per-cell sequence validation.
 //
 // The producer side (push) runs under the topic publish lock, so there
@@ -215,8 +135,6 @@ Switchboard::topicForUntyped(const std::string &topic)
         t->index = static_cast<std::uint32_t>(by_index_.size());
         t->sink = sink_;
         t->hook = hook_;
-        t->pool_chunk = pool_chunk_events_;
-        t->metrics = metrics_;
         wireTopicMetricsLocked(*t);
     }
     return t;
@@ -267,20 +185,6 @@ Switchboard::effectiveCapacity(std::size_t requested) const
         return requested;
     std::lock_guard<std::mutex> lock(mutex_);
     return default_ring_capacity_;
-}
-
-std::shared_ptr<EventPoolArena>
-Switchboard::poolForTopic(const TopicPtr &t)
-{
-    std::lock_guard<std::mutex> lock(t->mutex);
-    if (!t->pool) {
-        t->pool = EventPoolArena::create(t->pool_chunk);
-        if (t->metrics)
-            t->pool->setCounters(
-                &t->metrics->counter("sb.pool." + t->name + ".hits"),
-                &t->metrics->counter("sb.pool." + t->name + ".misses"));
-    }
-    return t->pool;
 }
 
 void
@@ -340,13 +244,14 @@ Switchboard::publishToTopic(const TopicPtr &t, EventPtr event)
             }
         }
 
-        // Store into the latest-value slots last: this is the
-        // event's final use here, so the slot adopts our reference
-        // instead of paying a refcount round trip. (Ordering against
-        // the ring pushes is unobservable — everything above runs
-        // under the topic mutex and the sink records nothing here.)
+        // Store the latest value last, still under the topic mutex so
+        // stores land in publish order. The swap hands the previous
+        // event back to `event`, which frees it after both locks drop.
         event_time = event->time;
-        t->latest.store(std::move(event), t->publish_count);
+        {
+            std::lock_guard<std::mutex> latest_lock(t->latest_mutex);
+            t->latest.swap(event);
+        }
 
         // Snapshot live listeners; they run after the lock drops so a
         // listener may publish, subscribe, or wake a worker pool
@@ -450,7 +355,6 @@ Switchboard::setMetrics(MetricsRegistry *metrics)
     metrics_ = metrics;
     for (auto &[name, topic] : topics_) {
         std::lock_guard<std::mutex> tlock(topic->mutex);
-        topic->metrics = metrics;
         wireTopicMetricsLocked(*topic);
     }
 }
@@ -464,51 +368,17 @@ Switchboard::wireTopicMetricsLocked(TopicState &t) const
         t.m_publishes = nullptr;
         t.m_drops = nullptr;
         t.m_reader_dropped = nullptr;
-        if (t.pool)
-            t.pool->setCounters(nullptr, nullptr);
         return;
     }
     t.m_publishes =
         &metrics_->counter("sb.topic." + t.name + ".publishes");
     t.m_drops = &metrics_->counter("sb.topic." + t.name + ".drops");
     t.m_reader_dropped = &metrics_->counter("sb.reader.dropped");
-    if (t.pool)
-        t.pool->setCounters(
-            &metrics_->counter("sb.pool." + t.name + ".hits"),
-            &metrics_->counter("sb.pool." + t.name + ".misses"));
 }
 
 void
 Switchboard::flushMetrics()
 {
-    MetricsRegistry *m = nullptr;
-    std::vector<TopicPtr> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!metrics_)
-            return;
-        m = metrics_;
-        snapshot.reserve(topics_.size());
-        for (const auto &[name, topic] : topics_)
-            snapshot.push_back(topic);
-    }
-    for (const TopicPtr &t : snapshot) {
-        m->gauge("sb.topic." + t->name + ".latest_retries")
-            .set(static_cast<double>(t->latest.retries()));
-        m->gauge("sb.topic." + t->name + ".latest_fallbacks")
-            .set(static_cast<double>(t->latest.fallbacks()));
-        std::shared_ptr<EventPoolArena> pool;
-        {
-            std::lock_guard<std::mutex> tlock(t->mutex);
-            pool = t->pool;
-        }
-        if (pool) {
-            m->gauge("sb.pool." + t->name + ".live")
-                .set(static_cast<double>(pool->live()));
-            m->gauge("sb.pool." + t->name + ".hit_rate")
-                .set(pool->hitRate());
-        }
-    }
 }
 
 void
@@ -516,60 +386,6 @@ Switchboard::setDefaultRingCapacity(std::size_t capacity)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     default_ring_capacity_ = capacity == 0 ? 1024 : capacity;
-}
-
-void
-Switchboard::setPoolChunkEvents(std::size_t events)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    pool_chunk_events_ = events == 0 ? 64 : events;
-    for (auto &[name, topic] : topics_) {
-        std::lock_guard<std::mutex> tlock(topic->mutex);
-        if (!topic->pool)
-            topic->pool_chunk = pool_chunk_events_;
-    }
-}
-
-Switchboard::PoolStats
-Switchboard::poolStats(const std::string &topic) const
-{
-    PoolStats stats;
-    TopicPtr t;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = topics_.find(topic);
-        if (it == topics_.end())
-            return stats;
-        t = it->second;
-    }
-    std::shared_ptr<EventPoolArena> pool;
-    {
-        std::lock_guard<std::mutex> lock(t->mutex);
-        pool = t->pool;
-    }
-    if (pool) {
-        stats.hits = pool->hits();
-        stats.misses = pool->misses();
-        stats.live = pool->live();
-        stats.hit_rate = pool->hitRate();
-    }
-    return stats;
-}
-
-std::uint64_t
-Switchboard::latestRetries() const
-{
-    std::vector<TopicPtr> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        snapshot.reserve(topics_.size());
-        for (const auto &[name, topic] : topics_)
-            snapshot.push_back(topic);
-    }
-    std::uint64_t total = 0;
-    for (const TopicPtr &t : snapshot)
-        total += t->latest.retries();
-    return total;
 }
 
 void

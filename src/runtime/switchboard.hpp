@@ -19,18 +19,15 @@
  * remaining string-keyed entry point (it observes a topic without
  * locking its type).
  *
- * ## Zero-copy data plane (DESIGN.md §7)
+ * ## Data plane (DESIGN.md §7)
  *
- * Publishers serialize per topic (one short mutex), but readers never
- * take any lock:
+ * Publishers serialize per topic (one short mutex); publish order,
+ * trace stamping and fan-out are all decided under it.
  *
- *  - `AsyncReader::latest()` reads a *seqlock-protected slot ring*:
- *    the topic's newest event lives in one of kLatestSlots slots
- *    published through a versioned cursor word. Readers pin a slot
- *    (one atomic increment), validate its version, copy the
- *    shared_ptr, and unpin; a publisher never waits on readers — it
- *    claims the next unpinned slot, so a stalled reader can hold at
- *    most one stale slot, never the topic.
+ *  - `AsyncReader::latest()` copies the topic's newest event out of
+ *    one `EventPtr` guarded by its own small mutex. The publisher
+ *    stores into it while still holding the topic lock, so stores land
+ *    in publish order and latest() never goes backwards.
  *
  *  - Each `SyncReader` is a fixed-capacity power-of-two ring with
  *    per-cell sequence validation (single producer — the serialized
@@ -39,8 +36,8 @@
  *    event, exactly like the historical deque, and every eviction is
  *    counted in `dropped()` and the `sb.reader.dropped` metric.
  *
- *  - Events come from per-topic slab pools (`Writer<T>::make()`), so
- *    steady-state publish→read performs zero heap allocations.
+ *  - Events are plain `std::make_shared` allocations
+ *    (`Writer<T>::make()`); the last reference frees them.
  *
  * ## Lineage
  *
@@ -55,7 +52,6 @@
 #pragma once
 
 #include "foundation/time.hpp"
-#include "runtime/event_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_id.hpp"
 
@@ -95,71 +91,6 @@ struct Event
 };
 
 using EventPtr = std::shared_ptr<const Event>;
-
-/**
- * The seqlock-protected latest-value slots of one topic. Writers are
- * already serialized (topic publish lock); readers are lock-free and
- * never block the writer. See DESIGN.md §7 for the protocol proof
- * sketch.
- */
-class LatestSlots
-{
-  public:
-    /** Publisher side; must be called under the topic publish lock.
-     *  Takes the event by value so the caller's last use can move. */
-    void store(EventPtr event, std::uint64_t publish_count);
-
-    /** Reader side: lock-free snapshot of the newest value. */
-    EventPtr load() const;
-
-    /** Reader validation retries (contention signal). */
-    std::uint64_t
-    retries() const
-    {
-        return retries_.load(std::memory_order_relaxed);
-    }
-
-    /** Publishes that found every slot pinned (pathological). */
-    std::uint64_t
-    fallbacks() const
-    {
-        return fallbacks_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    /** 8 slots ride out 7 concurrently stalled readers per topic. */
-    static constexpr std::size_t kSlots = 8;
-    static constexpr std::uint64_t kIndexBits = 4;
-    static constexpr std::uint64_t kIndexMask = (1u << kIndexBits) - 1;
-    static constexpr std::uint64_t kFallbackIndex = kSlots;
-
-    /** High bit of pins: the writer's exclusive claim. */
-    static constexpr std::uint32_t kWriterBit = 0x80000000u;
-
-    struct Slot
-    {
-        /**
-         * Reader pin count, with kWriterBit doubling as the writer's
-         * claim. Every crossing access is an RMW on this one word, so
-         * plain acquire/release coherence already totally orders the
-         * claim against every pin — no cross-variable fencing needed.
-         */
-        mutable std::atomic<std::uint32_t> pins{0};
-        /** Guarded by the pins protocol. */
-        EventPtr value;
-    };
-
-    /** (publish_count << kIndexBits) | slot_index; 0 = never stored. */
-    std::atomic<std::uint64_t> cursor_{0};
-    Slot slots_[kSlots];
-
-    /** Cold path: taken only when all kSlots are pinned at once. */
-    mutable std::mutex fallback_mutex_;
-    EventPtr fallback_;
-
-    mutable std::atomic<std::uint64_t> retries_{0};
-    std::atomic<std::uint64_t> fallbacks_{0};
-};
 
 /**
  * A synchronous reader: sees every event published after its
@@ -262,7 +193,10 @@ class Switchboard
         /** Serializes publishers and topic wiring; readers never
          *  take it on the data path. */
         mutable std::mutex mutex;
-        LatestSlots latest;
+        /** Newest event; stored under `mutex`, read under
+         *  `latest_mutex` alone so latest() never waits on a fan-out. */
+        mutable std::mutex latest_mutex;
+        EventPtr latest;
         std::uint64_t publish_count = 0;
         std::uint64_t publish_attempts = 0; ///< Includes dropped ones.
         std::type_index type = std::type_index(typeid(void));
@@ -276,13 +210,6 @@ class Switchboard
         std::shared_ptr<TraceSink> sink;
         PublishHookHandle hook;
         std::atomic<std::size_t> listener_exceptions{0};
-
-        /** Slab pool shared by this topic's Writer<T>::make() calls.
-         *  Created lazily on the first make(); pool_chunk/metrics are
-         *  copied here so the creation site needs only the topic. */
-        std::shared_ptr<EventPoolArena> pool;
-        std::size_t pool_chunk = 64;
-        MetricsRegistry *metrics = nullptr;
 
         /** Cached metric handles (null until a registry attaches). */
         Counter *m_publishes = nullptr;
@@ -308,19 +235,12 @@ class Switchboard
             Switchboard::publishToTopic(topic_, std::move(event));
         }
 
-        /**
-         * Allocate an event from the topic's slab pool: after warmup
-         * a freelist pop, zero heap allocations. The event recycles
-         * into the pool when its last reader drops it.
-         */
+        /** Allocate an event to fill in and put(). */
         template <typename... Args>
         std::shared_ptr<T>
         make(Args &&...args)
         {
-            if (!pool_)
-                pool_ = Switchboard::poolForTopic(topic_);
-            return std::allocate_shared<T>(
-                PoolAllocator<T>(pool_.get()), std::forward<Args>(args)...);
+            return std::make_shared<T>(std::forward<Args>(args)...);
         }
 
         /** TraceId of the most recent put() on this topic. */
@@ -339,14 +259,12 @@ class Switchboard
         friend class Switchboard;
         explicit Writer(TopicPtr topic) : topic_(std::move(topic)) {}
         TopicPtr topic_;
-        std::shared_ptr<EventPoolArena> pool_;
     };
 
     /**
      * Typed latest-value handle ("asynchronous read" in §II-B): no
-     * queue, no history, just the newest event. latest() is lock-free
-     * (seqlock slot read) and never blocks or is blocked by a
-     * publisher.
+     * queue, no history, just the newest event. latest() holds only
+     * the topic's latest-value mutex, for one shared_ptr copy.
      */
     template <typename T> class AsyncReader
     {
@@ -356,10 +274,14 @@ class Switchboard
         std::shared_ptr<const T>
         latest() const
         {
-            EventPtr e = topic_->latest.load();
+            EventPtr e;
+            {
+                std::lock_guard<std::mutex> lock(topic_->latest_mutex);
+                e = topic_->latest;
+            }
             if (e)
                 TraceContext::noteConsumed(e->trace);
-            return std::static_pointer_cast<const T>(e);
+            return std::static_pointer_cast<const T>(std::move(e));
         }
 
         explicit operator bool() const { return topic_ != nullptr; }
@@ -472,20 +394,14 @@ class Switchboard
 
     /**
      * Attach a metrics registry: per-topic `sb.topic.<name>.*`
-     * counters, pool `sb.pool.<name>.*` counters, and the global
-     * `sb.reader.dropped` counter land there. null detaches (handles
-     * are re-resolved, so per-run registries never dangle).
+     * counters and the global `sb.reader.dropped` counter land there.
+     * null detaches (handles are re-resolved, so per-run registries
+     * never dangle).
      */
     void setMetrics(MetricsRegistry *metrics);
 
-    /**
-     * Mirror accumulated transport gauges (`sb.topic.<name>.latest_*`
-     * seqlock contention, `sb.pool.<name>.live`/`.hit_rate`) into the
-     * attached registry. Counters update live; gauges are sampled
-     * here because the reader fast path must stay store-free. Each
-     * session calls this before handing off its registry; harmless
-     * without one.
-     */
+    /** No-op: every transport metric is a live counter; kept for
+     *  the perfbench runner, which still calls it. */
     void flushMetrics();
 
     /**
@@ -502,26 +418,6 @@ class Switchboard
      * IntegratedConfig.
      */
     void setDefaultRingCapacity(std::size_t capacity);
-
-    /**
-     * Events per initial slab-pool chunk for topics whose pool is
-     * created after this call (initially 64). `ILLIXR_SB_POOL_CHUNK`
-     * reaches here through IntegratedConfig.
-     */
-    void setPoolChunkEvents(std::size_t events);
-
-    /** Aggregate pool statistics of one topic (zeros if no pool). */
-    struct PoolStats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t live = 0;
-        double hit_rate = 0.0;
-    };
-    PoolStats poolStats(const std::string &topic) const;
-
-    /** Seqlock reader retries across all topics (contention). */
-    std::uint64_t latestRetries() const;
 
     /**
      * Publish attempts ever made on a topic, including ones a hook
@@ -566,9 +462,6 @@ class Switchboard
                               std::shared_ptr<const T>(std::move(event))));
     }
 
-    /** Lazily create (or fetch) the topic's slab-pool arena. */
-    static std::shared_ptr<EventPoolArena> poolForTopic(const TopicPtr &t);
-
     std::size_t effectiveCapacity(std::size_t requested) const;
 
     /** Resolve per-topic counters from the attached registry. */
@@ -581,11 +474,10 @@ class Switchboard
     PublishHookHandle hook_;
     MetricsRegistry *metrics_ = nullptr;
     std::size_t default_ring_capacity_ = 1024;
-    std::size_t pool_chunk_events_ = 64;
 };
 
-/** Convenience: make a shared event of type T (heap-allocated; hot
- *  paths should prefer Writer<T>::make() for pooled events). */
+/** Convenience: make a shared event of type T without a writer
+ *  handle (the same allocation as Writer<T>::make()). */
 template <typename T, typename... Args>
 std::shared_ptr<T>
 makeEvent(Args &&...args)

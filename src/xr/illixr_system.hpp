@@ -105,9 +105,6 @@ struct IntegratedConfig
     /** Default Switchboard SyncReader ring capacity (events; rounded
      *  up to a power of two). 0 = switchboard default (1024). */
     std::size_t sb_ring_capacity = 0;
-    /** Events per initial slab chunk of each topic's event pool.
-     *  0 = switchboard default (64). */
-    std::size_t sb_pool_chunk = 0;
     /** Fault injection / supervision / degradation (off by default). */
     ResilienceConfig resilience;
     /**
@@ -123,20 +120,6 @@ struct IntegratedConfig
     /** Tail-latency attribution (see TailOptions). */
     TailOptions tail;
 };
-
-/**
- * @deprecated Thin wrapper over SessionConfig::applyEnv() — use
- * SessionConfig::fromEnvAndArgs() (xr/session.hpp), the single config
- * entry point, in new code.
- */
-bool applyExecutorEnv(IntegratedConfig &config);
-
-/**
- * @deprecated Thin wrapper over SessionConfig::parseFlag() — use
- * SessionConfig::fromEnvAndArgs() (xr/session.hpp), the single config
- * entry point, in new code.
- */
-bool parseExecutorFlag(const std::string &arg, IntegratedConfig &config);
 
 /** Everything the benches need from one run. */
 struct IntegratedResult

@@ -51,8 +51,7 @@ struct SystemTuning;
  * Configuration of one session: the integrated-run knobs plus
  * session-level identity, and the one entry point that parses both
  * the environment and CLI flags (the fleet tools' "parse config one
- * way" rule). The old free functions applyExecutorEnv() /
- * parseExecutorFlag() are deprecated thin wrappers over this type.
+ * way" rule).
  */
 struct SessionConfig : IntegratedConfig
 {
@@ -82,9 +81,9 @@ struct SessionConfig : IntegratedConfig
      * `ILLIXR_KERNEL_THREADS`, `ILLIXR_DETERMINISTIC` (0|1),
      * `ILLIXR_SEED`, `ILLIXR_FAULT_PLAN`, `ILLIXR_RESILIENCE` (0|1),
      * `ILLIXR_SCENARIO` (family name or scenario file),
-     * `ILLIXR_SB_RING_CAP`, `ILLIXR_SB_POOL_CHUNK`, `ILLIXR_EDGE`
-     * (0|1), `ILLIXR_EDGE_LINK`, `ILLIXR_EDGE_SLO_MS`,
-     * `ILLIXR_EDGE_BATCH`. Unset variables leave the field untouched.
+     * `ILLIXR_SB_RING_CAP`, `ILLIXR_EDGE` (0|1), `ILLIXR_EDGE_LINK`,
+     * `ILLIXR_EDGE_SLO_MS`, `ILLIXR_EDGE_BATCH`. Unset variables
+     * leave the field untouched.
      * @return false on a malformed value (the config is left
      * partially updated).
      */
@@ -94,11 +93,11 @@ struct SessionConfig : IntegratedConfig
      * Parse one config CLI flag into *this: `--executor=sim|pool`,
      * `--workers=N`, `--kernel-threads=N`, `--deterministic`,
      * `--seed=N`, `--fault-plan=SPEC`, `--resilience`,
-     * `--scenario=NAME_OR_FILE`, `--sb-ring-cap=N`,
-     * `--sb-pool-chunk=N`, `--edge`, `--edge-link=NAME`,
-     * `--edge-slo-ms=MS`, `--edge-batch=N`. @return true when
-     * @p arg was one of these flags and parsed cleanly; false
-     * otherwise (unrecognised flags are the caller's business).
+     * `--scenario=NAME_OR_FILE`, `--sb-ring-cap=N`, `--edge`,
+     * `--edge-link=NAME`, `--edge-slo-ms=MS`, `--edge-batch=N`.
+     * @return true when @p arg was one of these flags and parsed
+     * cleanly; false otherwise (unrecognised flags are the caller's
+     * business).
      */
     bool parseFlag(const std::string &arg);
 

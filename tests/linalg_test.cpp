@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace illixr {
 namespace {
@@ -78,6 +79,23 @@ TEST(MatXTest, TimesTransposeMatchesExplicit)
     const MatX fast = a.timesTranspose(b);
     const MatX slow = a * b.transpose();
     EXPECT_NEAR((fast - slow).maxAbs(), 0.0, 1e-12);
+}
+
+TEST(MatXTest, ShapeMismatchThrowsEvenWithAssertsOff)
+{
+    // Shape checks on the product, sum and solve entry points are
+    // ILLIXR_CHECKs, not asserts: they throw under NDEBUG too. Without
+    // the check, a(6x5).transposeTimes(b(5x7)) reads b past its end.
+    Rng rng(9);
+    const MatX a = randomMatrix(6, 5, rng);
+    const MatX b = randomMatrix(5, 7, rng);
+    EXPECT_THROW(a.transposeTimes(b), std::invalid_argument);
+    EXPECT_THROW(a.timesTranspose(b), std::invalid_argument);
+    EXPECT_THROW(b * a, std::invalid_argument);
+    EXPECT_THROW(a + b, std::invalid_argument);
+    EXPECT_THROW(a * VecX(7), std::invalid_argument);
+    EXPECT_THROW(luSolve(a, VecX(6)), std::invalid_argument);
+    EXPECT_NO_THROW(a * b);
 }
 
 TEST(MatXTest, BlockRoundTrip)

@@ -477,7 +477,6 @@ TEST(SwitchboardTest, DeprecatedStringShimsAreGone)
     writer.put(makeEvent<IntEvent>());
     (void)peek.latest();
     (void)reader.pop();
-    sb.flushMetrics();
     for (const MetricRow &row : metrics.snapshotRows())
         EXPECT_EQ(row.name.rfind("sb.deprecated.", 0), std::string::npos)
             << "unexpected deprecated-shim counter: " << row.name;
@@ -488,10 +487,8 @@ TEST(SwitchboardTest, DeprecatedStringShimsAreGone)
 
 TEST(SwitchboardTest, PooledEventsOutliveTheSwitchboard)
 {
-    // Slab-pooled events hold an intrusive reference on their arena:
-    // a consumer may keep an event after the switchboard (and with it
-    // the pool handle) is gone, and the payload must stay valid until
-    // the last reference dies.
+    // A consumer may keep an event after the switchboard is gone, and
+    // the payload must stay valid until the last reference dies.
     std::shared_ptr<const IntEvent> survivor;
     {
         Switchboard sb;
@@ -500,7 +497,7 @@ TEST(SwitchboardTest, PooledEventsOutliveTheSwitchboard)
         auto e = writer.make();
         e->value = 41;
         writer.put(std::move(e));
-        // Churn the pool so recycling is exercised before teardown.
+        // Churn the topic so older events are freed before teardown.
         for (int i = 0; i < 100; ++i) {
             auto f = writer.make();
             f->value = i;

@@ -259,17 +259,17 @@ TEST(SessionConfigTest, MalformedEnvIsAnError)
     EXPECT_FALSE(parse.error.empty());
 }
 
-TEST(SessionConfigTest, DeprecatedWrappersStillWork)
+TEST(SessionConfigTest, ParseFlagAndApplyEnvSetFields)
 {
-    // applyExecutorEnv()/parseExecutorFlag() are thin wrappers over
-    // SessionConfig and must keep the old semantics.
-    IntegratedConfig cfg;
-    EXPECT_TRUE(parseExecutorFlag("--seed=42", cfg));
+    // The per-flag and environment entry points that fromEnvAndArgs()
+    // is built from, driven one at a time.
+    SessionConfig cfg;
+    EXPECT_TRUE(cfg.parseFlag("--seed=42"));
     EXPECT_EQ(cfg.seed, 42u);
-    EXPECT_FALSE(parseExecutorFlag("--not-a-config-flag", cfg));
+    EXPECT_FALSE(cfg.parseFlag("--not-a-config-flag"));
 
     ScopedEnv seed("ILLIXR_SEED", "7");
-    EXPECT_TRUE(applyExecutorEnv(cfg));
+    EXPECT_TRUE(cfg.applyEnv());
     EXPECT_EQ(cfg.seed, 7u);
 }
 

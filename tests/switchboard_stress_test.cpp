@@ -53,11 +53,16 @@ TEST(SwitchboardStressTest, ConcurrentWritersAndReaders)
     }
 
     // A concurrent async reader exercising latest() against the
-    // publish path; every observed event must be fully stamped.
+    // publish path; every observed event must be fully stamped, and
+    // with four writers racing latest() may repeat but never goes
+    // backwards.
     std::thread peeker([&peek, &done] {
+        std::uint64_t last_seq = 0;
         while (!done.load()) {
             if (auto e = peek.latest()) {
                 EXPECT_TRUE(e->trace.valid());
+                EXPECT_GE(e->trace.sequence, last_seq);
+                last_seq = e->trace.sequence;
             }
             std::this_thread::yield();
         }
@@ -196,10 +201,9 @@ TEST(SwitchboardStressTest, ConcurrentHandleCreation)
 TEST(SwitchboardStressTest, SeqlockSpinnersNeverBlockPublisher)
 {
     // 1 writer + N async readers spinning latest() as fast as they
-    // can. The slot protocol must (a) never tear an event (every
-    // observation is fully stamped with a monotone sequence) and
-    // (b) never wedge the publisher even when every slot is being
-    // pinned continuously.
+    // can. latest() must (a) never tear an event (every observation
+    // is fully stamped with a monotone sequence) and (b) never wedge
+    // the publisher while readers hammer it continuously.
     constexpr int kSpinners = 3;
     constexpr int kPublishes = 20000;
 
@@ -280,10 +284,10 @@ TEST(SwitchboardStressTest, RingWraparoundUnderOverflow)
 
 TEST(SwitchboardStressTest, PoolRecycleUnderRead)
 {
-    // Readers hold pooled events while the writer keeps publishing —
-    // which recycles slab nodes as fast as references die. An event a
-    // reader still holds must never be recycled under it: its payload
-    // stays bit-stable no matter how many later events reuse the pool.
+    // Readers hold events while the writer keeps publishing, and older
+    // events are freed as fast as references die. An event a reader
+    // still holds must never be freed under it: its payload stays
+    // bit-stable no matter how many later events are published.
     constexpr int kPublishes = 20000;
 
     Switchboard sb;
@@ -300,7 +304,7 @@ TEST(SwitchboardStressTest, PoolRecycleUnderRead)
             }
             const int v = held->value;
             const std::uint64_t s = held->trace.sequence;
-            // Spin a little while the writer recycles other nodes.
+            // Spin a little while the writer frees other events.
             for (int i = 0; i < 64; ++i)
                 std::this_thread::yield();
             EXPECT_EQ(held->value, v);
