@@ -5,7 +5,6 @@
 #include "runtime/parallel.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace illixr {
@@ -19,7 +18,7 @@ constexpr std::size_t kSolveParallelFlops = 64 * 1024;
 
 Cholesky::Cholesky(const MatX &a)
 {
-    assert(a.rows() == a.cols());
+    ILLIXR_CHECK(a.rows() == a.cols(), "Cholesky: matrix is not square");
     const std::size_t n = a.rows();
     l_ = MatX(n, n);
     ok_ = true;
@@ -198,7 +197,7 @@ HouseholderQR::matrixR() const
 VecX
 HouseholderQR::applyQT(const VecX &v) const
 {
-    assert(v.size() == m_);
+    ILLIXR_CHECK(v.size() == m_, "HouseholderQR::applyQT: size mismatch");
     VecX r = v;
     for (std::size_t k = 0; k < tau_.size(); ++k) {
         if (tau_[k] == 0.0)
@@ -217,7 +216,7 @@ HouseholderQR::applyQT(const VecX &v) const
 MatX
 HouseholderQR::applyQT(const MatX &b) const
 {
-    assert(b.rows() == m_);
+    ILLIXR_CHECK(b.rows() == m_, "HouseholderQR::applyQT: row mismatch");
     MatX r = b;
     // Columns are independent: applying every reflector (in k order)
     // to one column never reads another, so swapping the loop nest to
@@ -248,7 +247,7 @@ HouseholderQR::applyQT(const MatX &b) const
 VecX
 HouseholderQR::solve(const VecX &b) const
 {
-    assert(m_ >= n_);
+    ILLIXR_CHECK(m_ >= n_, "HouseholderQR::solve: fewer rows than columns");
     const VecX qtb = applyQT(b);
     VecX x(n_);
     for (std::size_t ii = n_; ii-- > 0;) {
@@ -374,7 +373,7 @@ leftNullspaceTranspose(const MatX &hf)
     // keeping the bottom (m - rank) rows.
     const std::size_t m = hf.rows();
     const std::size_t n = hf.cols();
-    assert(m > n);
+    ILLIXR_CHECK(m > n, "leftNullspaceTranspose: no left nullspace");
     HouseholderQR qr(hf);
     const MatX qt = qr.applyQT(MatX::identity(m));
     return qt.block(n, 0, m - n, m);

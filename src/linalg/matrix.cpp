@@ -4,7 +4,6 @@
 #include "foundation/simd.hpp"
 #include "runtime/parallel.hpp"
 
-#include <cassert>
 #include <cmath>
 
 namespace illixr {
@@ -126,7 +125,7 @@ MatX::fromRows(std::initializer_list<std::initializer_list<double>> rows)
     MatX r(nr, nc);
     std::size_t i = 0;
     for (const auto &row : rows) {
-        assert(row.size() == nc);
+        ILLIXR_CHECK(row.size() == nc, "MatX::fromRows: ragged rows");
         std::size_t j = 0;
         for (double v : row)
             r(i, j++) = v;
@@ -288,7 +287,8 @@ MatX
 MatX::block(std::size_t r0, std::size_t c0, std::size_t nrows,
             std::size_t ncols) const
 {
-    assert(r0 + nrows <= rows_ && c0 + ncols <= cols_);
+    ILLIXR_CHECK(r0 + nrows <= rows_ && c0 + ncols <= cols_,
+                 "MatX::block: block exceeds the matrix");
     MatX r(nrows, ncols);
     for (std::size_t i = 0; i < nrows; ++i)
         for (std::size_t j = 0; j < ncols; ++j)
@@ -299,7 +299,8 @@ MatX::block(std::size_t r0, std::size_t c0, std::size_t nrows,
 void
 MatX::setBlock(std::size_t r0, std::size_t c0, const MatX &b)
 {
-    assert(r0 + b.rows() <= rows_ && c0 + b.cols() <= cols_);
+    ILLIXR_CHECK(r0 + b.rows() <= rows_ && c0 + b.cols() <= cols_,
+                 "MatX::setBlock: block exceeds the matrix");
     for (std::size_t i = 0; i < b.rows(); ++i)
         for (std::size_t j = 0; j < b.cols(); ++j)
             (*this)(r0 + i, c0 + j) = b(i, j);
@@ -326,7 +327,7 @@ MatX::maxAbs() const
 void
 MatX::symmetrize()
 {
-    assert(rows_ == cols_);
+    ILLIXR_CHECK(rows_ == cols_, "MatX::symmetrize: matrix is not square");
     for (std::size_t i = 0; i < rows_; ++i) {
         for (std::size_t j = i + 1; j < cols_; ++j) {
             const double avg = 0.5 * ((*this)(i, j) + (*this)(j, i));
@@ -347,7 +348,7 @@ MatX::resize(std::size_t rows, std::size_t cols)
 VecX
 VecX::operator+(const VecX &o) const
 {
-    assert(size() == o.size());
+    ILLIXR_CHECK(size() == o.size(), "VecX::operator+: size mismatch");
     VecX r(size());
     for (std::size_t i = 0; i < size(); ++i)
         r[i] = data_[i] + o.data_[i];
@@ -357,7 +358,7 @@ VecX::operator+(const VecX &o) const
 VecX
 VecX::operator-(const VecX &o) const
 {
-    assert(size() == o.size());
+    ILLIXR_CHECK(size() == o.size(), "VecX::operator-: size mismatch");
     VecX r(size());
     for (std::size_t i = 0; i < size(); ++i)
         r[i] = data_[i] - o.data_[i];
@@ -376,7 +377,7 @@ VecX::operator*(double s) const
 VecX &
 VecX::operator+=(const VecX &o)
 {
-    assert(size() == o.size());
+    ILLIXR_CHECK(size() == o.size(), "VecX::operator+=: size mismatch");
     for (std::size_t i = 0; i < size(); ++i)
         data_[i] += o.data_[i];
     return *this;
@@ -385,7 +386,7 @@ VecX::operator+=(const VecX &o)
 VecX &
 VecX::operator-=(const VecX &o)
 {
-    assert(size() == o.size());
+    ILLIXR_CHECK(size() == o.size(), "VecX::operator-=: size mismatch");
     for (std::size_t i = 0; i < size(); ++i)
         data_[i] -= o.data_[i];
     return *this;
@@ -394,7 +395,7 @@ VecX::operator-=(const VecX &o)
 double
 VecX::dot(const VecX &o) const
 {
-    assert(size() == o.size());
+    ILLIXR_CHECK(size() == o.size(), "VecX::dot: size mismatch");
     double acc = 0.0;
     for (std::size_t i = 0; i < size(); ++i)
         acc += data_[i] * o.data_[i];
@@ -410,7 +411,8 @@ VecX::norm() const
 VecX
 VecX::segment(std::size_t start, std::size_t len) const
 {
-    assert(start + len <= size());
+    ILLIXR_CHECK(start + len <= size(),
+                 "VecX::segment: segment exceeds the vector");
     VecX r(len);
     for (std::size_t i = 0; i < len; ++i)
         r[i] = data_[start + i];
@@ -420,7 +422,8 @@ VecX::segment(std::size_t start, std::size_t len) const
 void
 VecX::setSegment(std::size_t start, const VecX &v)
 {
-    assert(start + v.size() <= size());
+    ILLIXR_CHECK(start + v.size() <= size(),
+                 "VecX::setSegment: segment exceeds the vector");
     for (std::size_t i = 0; i < v.size(); ++i)
         data_[start + i] = v[i];
 }

@@ -1,7 +1,8 @@
 #include "linalg/svd.hpp"
 
+#include "foundation/check.hpp"
+
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -11,7 +12,7 @@ namespace illixr {
 SvdResult
 jacobiSvd(const MatX &a, int max_sweeps)
 {
-    assert(a.rows() >= a.cols());
+    ILLIXR_CHECK(a.rows() >= a.cols(), "jacobiSvd: fewer rows than columns");
     const std::size_t m = a.rows();
     const std::size_t n = a.cols();
 

@@ -404,56 +404,6 @@ PoolExecutor::modeledCost(const Entry &entry, std::size_t w)
                                    entry.plugin->execUnit());
 }
 
-InvocationOutcome
-PoolExecutor::handoff(Entry &entry, std::size_t w, TimePoint arrival,
-                      std::uint64_t attempt, std::uint64_t span_id)
-{
-    std::unique_lock<std::mutex> lock(handoffMutex_);
-    handoffEntry_ = &entry;
-    handoffWorker_ = w;
-    handoffArrival_ = arrival;
-    handoffAttempt_ = attempt;
-    handoffSpan_ = span_id;
-    handoffDone_ = false;
-    handoffCv_.notify_all();
-    handoffCv_.wait(lock, [this] { return handoffDone_; });
-    handoffEntry_ = nullptr;
-    return handoffOutcome_;
-}
-
-void
-PoolExecutor::virtualWorkerMain(std::size_t worker_index)
-{
-    std::unique_lock<std::mutex> lock(handoffMutex_);
-    for (;;) {
-        handoffCv_.wait(lock, [this, worker_index] {
-            return shutdownWorkers_ ||
-                   (handoffEntry_ && handoffWorker_ == worker_index &&
-                    !handoffDone_);
-        });
-        if (shutdownWorkers_)
-            return;
-        Entry &entry = *handoffEntry_;
-        const TimePoint arrival = handoffArrival_;
-        const std::uint64_t attempt = handoffAttempt_;
-        const std::uint64_t span_id = handoffSpan_;
-        lock.unlock();
-
-        // The guarded call runs here, on the worker thread, because
-        // TraceContext is thread-local and the interceptor must see
-        // the same thread the plugin publishes from. The barrier
-        // keeps it serialized, so interceptor decisions stay a pure
-        // function of (task, attempt).
-        const InvocationOutcome out =
-            invokeGuarded(*entry.plugin, attempt, arrival, span_id);
-
-        lock.lock();
-        handoffOutcome_ = out;
-        handoffDone_ = true;
-        handoffCv_.notify_all();
-    }
-}
-
 void
 PoolExecutor::runVirtual(Duration duration)
 {
@@ -483,11 +433,6 @@ PoolExecutor::runVirtual(Duration duration)
     for (std::size_t w = 0; w < config_.workers; ++w)
         workerRng_.emplace_back(config_.seed * 0x9e3779b97f4a7c15ULL +
                                 w + 1);
-
-    shutdownWorkers_ = false;
-    std::vector<std::thread> workers;
-    for (std::size_t w = 0; w < config_.workers; ++w)
-        workers.emplace_back([this, w] { virtualWorkerMain(w); });
 
     std::priority_queue<SimEvent, std::vector<SimEvent>,
                         std::greater<SimEvent>>
@@ -584,8 +529,11 @@ PoolExecutor::runVirtual(Duration duration)
             const std::uint64_t span_id =
                 sink_ ? sink_->nextSpanId() : 0;
             const std::uint64_t attempt = ++entry.stats.attempts;
+            // w is a virtual slot; the invocation runs inline, so
+            // interceptor decisions stay a pure function of
+            // (task, attempt).
             const InvocationOutcome out =
-                handoff(entry, w, now, attempt, span_id);
+                invokeGuarded(*entry.plugin, attempt, now, span_id);
 
             if (out.suppressed) {
                 // Held by the interceptor: no cost draw (the decision
@@ -714,15 +662,6 @@ PoolExecutor::runVirtual(Duration duration)
     for (const ReadyItem &item : ready)
         --entries_[item.task]->sim_queued;
 
-    {
-        std::lock_guard<std::mutex> lock(handoffMutex_);
-        shutdownWorkers_ = true;
-    }
-    handoffCv_.notify_all();
-    for (std::thread &t : workers) {
-        if (t.joinable())
-            t.join();
-    }
     stopPlugins();
 }
 

@@ -22,18 +22,19 @@
  *  - topic-driven wakeups: event-driven plugins (period() <= 0) are
  *    subscribed to a switchboard topic and woken by its publishes,
  *    with bursts coalesced to one pending invocation ("latest wins");
- *  - a deterministic mode (virtual-clock barrier stepping): the run
- *    advances a virtual timeline event by event, invocations are
- *    handed to their assigned worker and barriered one at a time, and
- *    invocation costs are *modeled* — drawn from per-worker seeded
- *    Rng streams instead of measured host time — so two runs with the
- *    same seed produce byte-identical outputs (see DESIGN.md §4c for
- *    the determinism contract).
+ *  - a deterministic mode (virtual-clock stepping): the run advances
+ *    a virtual timeline event by event on the thread that called
+ *    run(), invoking one plugin at a time there; workers are virtual
+ *    slots, and invocation costs are *modeled* — drawn from per-slot
+ *    seeded Rng streams instead of measured host time — so two runs
+ *    with the same seed produce byte-identical outputs (see DESIGN.md
+ *    §4c for the determinism contract).
  *
  * Instrumentation: every span carries the 1-based id of the worker
- * that executed it, and the pool exports per-lane ready-queue depth
- * gauges (`pool.lane.<lane>.queue_depth`) plus per-worker invocation
- * counters (`pool.worker.<i>.invocations`) into the MetricsRegistry.
+ * (the virtual slot, when deterministic) that executed it, and the
+ * pool exports per-lane ready-queue depth gauges
+ * (`pool.lane.<lane>.queue_depth`) plus per-worker invocation counters
+ * (`pool.worker.<i>.invocations`) into the MetricsRegistry.
  */
 
 #pragma once
@@ -73,7 +74,8 @@ PipelineLane laneForTask(const std::string &name);
 struct PoolExecutorConfig
 {
     std::size_t workers = 4;
-    /** Virtual-clock barrier stepping; runs are bit-reproducible. */
+    /** Virtual-clock stepping on the calling thread; runs are
+     *  bit-reproducible. */
     bool deterministic = false;
     /** Seed of the per-worker Rng streams (deterministic mode). */
     std::uint64_t seed = 1;
@@ -207,15 +209,12 @@ class PoolExecutor : public ExecutorBase
                      TimePoint release, TimePoint now);
 
     // ---- deterministic mode ----
+    /** Event loop on the calling thread: each invocation is assigned
+     *  the lowest free virtual worker slot and runs inline, one at a
+     *  time, so the interceptor, TraceContext and the kernel scratch
+     *  arena all see that one thread. */
     void runVirtual(Duration duration);
-    void virtualWorkerMain(std::size_t worker_index);
-    /** Hand @p entry to worker @p w, barrier until the guarded
-     *  invocation returns on that worker's thread (the interceptor
-     *  and the plugin both run there, where TraceContext lives). */
-    InvocationOutcome handoff(Entry &entry, std::size_t w,
-                              TimePoint arrival, std::uint64_t attempt,
-                              std::uint64_t span_id);
-    /** Modeled virtual cost of one invocation on worker @p w. */
+    /** Modeled virtual cost of one invocation on worker slot @p w. */
     Duration modeledCost(const Entry &entry, std::size_t w);
 
     TimePoint wallNs() const;
@@ -230,21 +229,8 @@ class PoolExecutor : public ExecutorBase
     std::atomic<bool> running_{false};
     std::chrono::steady_clock::time_point epoch_;
 
-    // Deterministic-mode handoff slot (one in-flight task at a time;
-    // the barrier is what makes the interleaving reproducible).
-    std::mutex handoffMutex_;
-    std::condition_variable handoffCv_;
-    Entry *handoffEntry_ = nullptr;
-    std::size_t handoffWorker_ = 0;
-    TimePoint handoffArrival_ = 0;
-    std::uint64_t handoffAttempt_ = 0;
-    std::uint64_t handoffSpan_ = 0;
-    bool handoffDone_ = false;
-    InvocationOutcome handoffOutcome_;
-    bool shutdownWorkers_ = false;
-
     // Topic wakeups raised while a deterministic invocation runs;
-    // drained by the event loop after each barrier.
+    // drained by the event loop after each invocation.
     std::mutex simWakeupMutex_;
     std::vector<std::size_t> simWakeups_;
 

@@ -193,7 +193,7 @@ Timewarp::reprojectPositional(const RgbImage &rendered,
 
     const double tan_half = std::tan(params_.fov_y_rad / 2.0);
     const double aspect = static_cast<double>(w) / h;
-    const Pose render_inv = render_pose.inverse();
+    const Pose fresh_inv = fresh_pose.inverse();
 
     auto view_depth = [&](double z_ndc) {
         // Invert the perspective depth mapping; returns +depth along
@@ -211,7 +211,7 @@ Timewarp::reprojectPositional(const RgbImage &rendered,
         return render_pose.transform(p_eye);
     };
     auto project_fresh = [&](const Vec3 &world) {
-        const Vec3 p = fresh_pose.inverse().transform(world);
+        const Vec3 p = fresh_inv.transform(world);
         if (p.z > -1e-6)
             return Vec2(-1e9, -1e9);
         const double nx = p.x / (-p.z) / (tan_half * aspect);
@@ -219,7 +219,6 @@ Timewarp::reprojectPositional(const RgbImage &rendered,
         return Vec2((nx + 1.0) / 2.0 * w - 0.5,
                     (1.0 - ny) / 2.0 * h - 0.5);
     };
-    (void)render_inv;
 
     parallelFor("timewarp_pos", 0, static_cast<std::size_t>(h), 8,
                 [&](std::size_t yb, std::size_t ye) {

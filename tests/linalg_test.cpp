@@ -98,6 +98,46 @@ TEST(MatXTest, ShapeMismatchThrowsEvenWithAssertsOff)
     EXPECT_NO_THROW(a * b);
 }
 
+TEST(MatXTest, AccessorAndDecompositionPreconditionsThrow)
+{
+    // Block/segment bounds and decomposition shapes are ILLIXR_CHECKs
+    // too: out-of-range accessors and non-square or wide inputs throw
+    // in every build instead of reading or writing past the storage.
+    Rng rng(10);
+    MatX a = randomMatrix(4, 6, rng);
+    EXPECT_THROW(a.block(2, 0, 3, 2), std::invalid_argument);
+    EXPECT_THROW(a.block(0, 5, 1, 2), std::invalid_argument);
+    EXPECT_THROW(a.setBlock(3, 0, randomMatrix(2, 2, rng)),
+                 std::invalid_argument);
+    EXPECT_THROW(a.setBlock(0, 5, randomMatrix(1, 2, rng)),
+                 std::invalid_argument);
+    EXPECT_THROW(a.symmetrize(), std::invalid_argument);
+
+    VecX v(5);
+    EXPECT_THROW(v.segment(3, 3), std::invalid_argument);
+    EXPECT_THROW(v.setSegment(4, VecX(2)), std::invalid_argument);
+    EXPECT_THROW(v + VecX(4), std::invalid_argument);
+    EXPECT_THROW(v -= VecX(6), std::invalid_argument);
+    EXPECT_THROW(v.dot(VecX(4)), std::invalid_argument);
+
+    EXPECT_THROW(Cholesky{a}, std::invalid_argument);
+
+    const HouseholderQR tall(randomMatrix(6, 4, rng));
+    EXPECT_THROW(tall.applyQT(VecX(5)), std::invalid_argument);
+    EXPECT_THROW(tall.applyQT(MatX(5, 2)), std::invalid_argument);
+    const HouseholderQR wide(a);
+    EXPECT_THROW(wide.solve(VecX(4)), std::invalid_argument);
+
+    EXPECT_THROW(jacobiSvd(a), std::invalid_argument);
+    EXPECT_THROW(leftNullspaceTranspose(a), std::invalid_argument);
+
+    // In-range calls still pass.
+    EXPECT_NO_THROW(a.block(2, 4, 2, 2));
+    EXPECT_NO_THROW(v.segment(3, 2));
+    EXPECT_NO_THROW(tall.solve(VecX(6)));
+    EXPECT_NO_THROW(jacobiSvd(a.transpose()));
+}
+
 TEST(MatXTest, BlockRoundTrip)
 {
     Rng rng(7);

@@ -379,6 +379,75 @@ TEST(PoolExecutorTest, ExportsWorkerAndLaneMetrics)
               worker_total);
 }
 
+/** Records the thread of every iterate() call. */
+class ThreadProbePlugin : public Plugin
+{
+  public:
+    ThreadProbePlugin(std::string name, Duration period)
+        : Plugin(std::move(name)), period_(period)
+    {
+    }
+
+    void
+    iterate(TimePoint) override
+    {
+        threads.push_back(std::this_thread::get_id());
+    }
+
+    Duration period() const override { return period_; }
+
+    std::vector<std::thread::id> threads;
+
+  private:
+    Duration period_;
+};
+
+TEST(PoolExecutorTest, DeterministicRunsOnCallingThread)
+{
+    // Deterministic invocations run inline on the thread that called
+    // run(); the worker index is only a virtual slot. It still keys
+    // the modeled-cost draw, so the slots in use must spread past the
+    // first one and every invocation must be counted on some slot.
+    MetricsRegistry metrics;
+    ThreadProbePlugin imu("imu", 2 * kMillisecond);
+    ThreadProbePlugin cam("camera", 5 * kMillisecond);
+    ThreadProbePlugin app("application", 8 * kMillisecond);
+    ThreadProbePlugin aud("audio_encoding", 20 * kMillisecond);
+    PoolExecutorConfig cfg;
+    cfg.workers = 4;
+    cfg.deterministic = true;
+    cfg.seed = 11;
+    PoolExecutor pool(cfg);
+    pool.setMetrics(&metrics);
+    pool.addPlugin(&imu);
+    pool.addPlugin(&cam);
+    pool.addPlugin(&app);
+    pool.addPlugin(&aud);
+    pool.run(300 * kMillisecond);
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t invocations = 0;
+    for (const ThreadProbePlugin *p : {&imu, &cam, &app, &aud}) {
+        ASSERT_FALSE(p->threads.empty()) << p->name();
+        for (const std::thread::id &id : p->threads)
+            EXPECT_EQ(id, caller) << p->name();
+        invocations += p->threads.size();
+    }
+
+    std::uint64_t slot_total = 0;
+    std::size_t slots_used = 0;
+    for (std::size_t w = 1; w <= cfg.workers; ++w) {
+        const std::uint64_t n =
+            metrics.counter("pool.worker." + std::to_string(w) +
+                            ".invocations")
+                .value();
+        slot_total += n;
+        slots_used += n > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(slot_total, static_cast<std::uint64_t>(invocations));
+    EXPECT_GT(slots_used, 1u);
+}
+
 TEST(PoolExecutorStressTest, FourWorkersThreePipelines)
 {
     // The TSan target: producers and event-driven consumers on all
