@@ -219,6 +219,25 @@ BM_TimewarpReproject(benchmark::State &state)
 BENCHMARK(BM_TimewarpReproject);
 
 void
+BM_TimewarpStereo(benchmark::State &state)
+{
+    // Both 80x80 eyes of one display frame in a single warp pass.
+    RgbImage left(80, 80, Vec3(0.4, 0.5, 0.6));
+    RgbImage right(80, 80, Vec3(0.6, 0.5, 0.4));
+    Timewarp warp;
+    const Pose a = Pose::identity();
+    const Pose b(Quat::fromAxisAngle(Vec3(0, 1, 0), 0.01), Vec3());
+    RgbImage out_left, out_right;
+    for (auto _ : state) {
+        warp.reprojectStereo(left, right, a, b, out_left, out_right);
+        benchmark::DoNotOptimize(out_left.r.data());
+        benchmark::DoNotOptimize(out_right.r.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_TimewarpStereo);
+
+void
 BM_GsIteration64(benchmark::State &state)
 {
     HologramParams params;

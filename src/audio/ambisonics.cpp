@@ -1,5 +1,6 @@
 #include "audio/ambisonics.hpp"
 
+#include "foundation/check.hpp"
 #include "linalg/decomp.hpp"
 
 #include <cassert>
@@ -49,7 +50,8 @@ Soundfield::clear()
 void
 Soundfield::add(const Soundfield &other)
 {
-    assert(block_size == other.block_size);
+    ILLIXR_CHECK(block_size == other.block_size,
+                 "Soundfield::add: block size mismatch");
     for (int c = 0; c < kAmbisonicChannels; ++c)
         for (std::size_t i = 0; i < block_size; ++i)
             channels[c][i] += other.channels[c][i];
@@ -69,7 +71,8 @@ void
 encodeSource(const std::vector<double> &mono, const Vec3 &direction_start,
              const Vec3 &direction_end, Soundfield &out)
 {
-    assert(out.block_size == mono.size());
+    ILLIXR_CHECK(out.block_size == mono.size(),
+                 "encodeSource: block size mismatch");
     const auto g0 = shEvaluate(direction_start);
     const auto g1 = shEvaluate(direction_end);
     const double inv_n =
@@ -126,6 +129,10 @@ solveBlock(int l, const Quat &rotation, const std::vector<Vec3> &dirs)
     const MatX ata = a.transposeTimes(a);
     const MatX atb = a.transposeTimes(b);
     Cholesky chol(ata);
+    // An internal postcondition, not a caller precondition: ata is
+    // the Gram matrix of the fixed 14-direction sample set and does
+    // not depend on the rotation, so no input can make it fail. It
+    // stays an assert rather than an ILLIXR_CHECK.
     assert(chol.ok());
     const MatX mt = chol.solve(atb);
     return mt.transpose();

@@ -1,9 +1,9 @@
 #include "audio/binaural.hpp"
 
+#include "foundation/check.hpp"
 #include "foundation/simd.hpp"
 #include "runtime/parallel.hpp"
 
-#include <cassert>
 #include <cmath>
 
 namespace illixr {
@@ -124,7 +124,8 @@ Binauralizer::Binauralizer(std::size_t block_size, double sample_rate_hz)
 StereoBlock
 Binauralizer::process(const Soundfield &field)
 {
-    assert(field.block_size == blockSize_);
+    ILLIXR_CHECK(field.block_size == blockSize_,
+                 "Binauralizer::process: block size mismatch");
 
     std::vector<Complex> acc_left(fftSize_, Complex(0.0, 0.0));
     std::vector<Complex> acc_right(fftSize_, Complex(0.0, 0.0));
@@ -266,7 +267,8 @@ PsychoacousticFilter::PsychoacousticFilter(std::size_t block_size,
 void
 PsychoacousticFilter::process(Soundfield &field)
 {
-    assert(field.block_size == blockSize_);
+    ILLIXR_CHECK(field.block_size == blockSize_,
+                 "PsychoacousticFilter::process: block size mismatch");
     for (int c = 0; c < kPsychoChannels; ++c)
         field.channels[c] = filters_[c]->process(field.channels[c]);
 }

@@ -1,9 +1,9 @@
 #include "eyetrack/layers.hpp"
 
+#include "foundation/check.hpp"
 #include "foundation/simd.hpp"
 #include "runtime/parallel.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -17,7 +17,8 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel_size)
                0.0f),
       bias_(out_channels, 0.0f)
 {
-    assert(kernel_size == 1 || kernel_size == 3);
+    ILLIXR_CHECK(kernel_size == 1 || kernel_size == 3,
+                 "Conv2d: kernel size must be 1 or 3");
 }
 
 void
@@ -55,7 +56,8 @@ Conv2d::weight(int oc, int ic, int ky, int kx) const
 Tensor
 Conv2d::forward(const Tensor &input) const
 {
-    assert(input.channels() == inChannels_);
+    ILLIXR_CHECK(input.channels() == inChannels_,
+                 "Conv2d::forward: input channel mismatch");
     const int h = input.height();
     const int w = input.width();
     const int k = kernelSize_;
@@ -205,7 +207,8 @@ BatchNorm::initialize(Rng &rng)
 Tensor
 BatchNorm::forward(const Tensor &input) const
 {
-    assert(static_cast<std::size_t>(input.channels()) == scale_.size());
+    ILLIXR_CHECK(static_cast<std::size_t>(input.channels()) == scale_.size(),
+                 "BatchNorm::forward: input channel mismatch");
     Tensor out(input.channels(), input.height(), input.width());
     using simd::VecF8;
     const std::size_t plane = static_cast<std::size_t>(input.height()) *
@@ -274,7 +277,8 @@ upsample2(const Tensor &input)
 Tensor
 concatChannels(const Tensor &a, const Tensor &b)
 {
-    assert(a.height() == b.height() && a.width() == b.width());
+    ILLIXR_CHECK(a.height() == b.height() && a.width() == b.width(),
+                 "concatChannels: spatial size mismatch");
     Tensor out(a.channels() + b.channels(), a.height(), a.width());
     for (int c = 0; c < a.channels(); ++c)
         for (int y = 0; y < a.height(); ++y)

@@ -13,10 +13,23 @@
 
 #include "foundation/vec.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
 namespace illixr {
+
+/**
+ * Footprint of one bilinear sample: the four clamped source pixels
+ * (as indices into a row-major plane) and the fractional weights.
+ * Planes of equal size share it, so a tap computed once can sample
+ * every colour channel or eye with the same arithmetic.
+ */
+struct BilinearTap
+{
+    std::size_t i00, i01, i10, i11; ///< (x0,y0), (x1,y0), (x0,y1), (x1,y1).
+    double fx, fy;
+};
 
 /** Single-channel float image, row-major, values nominally in [0, 1]. */
 class ImageF
@@ -38,7 +51,33 @@ class ImageF
 
     /** Bilinear sample at continuous coordinates (pixel centers at
      *  integer coordinates); clamps to the image border. */
-    float sampleBilinear(double x, double y) const;
+    float sampleBilinear(double x, double y) const
+    {
+        return sample(bilinearTap(x, y));
+    }
+
+    /** The footprint sampleBilinear(x, y) reads; valid for any plane
+     *  of this size. */
+    BilinearTap bilinearTap(double x, double y) const
+    {
+        x = std::clamp(x, 0.0, static_cast<double>(width_ - 1));
+        y = std::clamp(y, 0.0, static_cast<double>(height_ - 1));
+        const int x0 = static_cast<int>(x);
+        const int y0 = static_cast<int>(y);
+        const int x1 = std::min(x0 + 1, width_ - 1);
+        const int y1 = std::min(y0 + 1, height_ - 1);
+        return {idx(x0, y0), idx(x1, y0), idx(x0, y1), idx(x1, y1),
+                x - x0, y - y0};
+    }
+
+    /** Bilinear sample of this plane at a tap from bilinearTap(). */
+    float sample(const BilinearTap &t) const
+    {
+        const float *p = data_.data();
+        const double top = p[t.i00] * (1.0 - t.fx) + p[t.i01] * t.fx;
+        const double bot = p[t.i10] * (1.0 - t.fx) + p[t.i11] * t.fx;
+        return static_cast<float>(top * (1.0 - t.fy) + bot * t.fy);
+    }
 
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }

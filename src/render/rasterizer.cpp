@@ -1,13 +1,24 @@
 #include "render/rasterizer.hpp"
 
+#include "foundation/check.hpp"
+#include "foundation/simd.hpp"
 #include "runtime/parallel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace illixr {
 
 namespace {
+
+using simd::VecD4;
+
+/** Vertices (and pixels) per lane group of the vector loops. */
+constexpr std::size_t kLanes = 4;
+
+/** Lane l of a run of pixels starting at x samples x + l + 0.5. */
+constexpr double kPixelCenters[kLanes] = {0.5, 1.5, 2.5, 3.5};
 
 double
 edgeFunction(double ax, double ay, double bx, double by, double cx,
@@ -42,11 +53,18 @@ lightMesh(const Mesh &mesh, const Mat4 &model, const DirectionalLight &light,
     out.world.resize(n);
     out.normal.resize(n);
     out.color.resize(n);
+    const std::size_t padded = (n + kLanes - 1) / kLanes * kLanes;
+    out.pos_x.assign(padded, 0.0);
+    out.pos_y.assign(padded, 0.0);
+    out.pos_z.assign(padded, 0.0);
     const Vec3 light_dir = light.direction.normalized();
     parallelFor("raster_light", 0, n, 64,
                 [&](std::size_t vb, std::size_t ve) {
         for (std::size_t i = vb; i < ve; ++i) {
             const Vertex &v = mesh.vertices[i];
+            out.pos_x[i] = v.position.x;
+            out.pos_y[i] = v.position.y;
+            out.pos_z[i] = v.position.z;
             out.world[i] = model.transformPoint(v.position);
             const Vec3 nrm = model.transformDirection(v.normal).normalized();
             out.normal[i] = nrm;
@@ -104,9 +122,9 @@ Rasterizer::Rasterizer(int width, int height)
 void
 Rasterizer::clear(const Vec3 &color)
 {
-    for (int y = 0; y < height(); ++y)
-        for (int x = 0; x < width(); ++x)
-            color_.setPixel(x, y, color);
+    color_.r.fill(static_cast<float>(color.x));
+    color_.g.fill(static_cast<float>(color.y));
+    color_.b.fill(static_cast<float>(color.z));
     depth_.fill(1e30f);
 }
 
@@ -137,24 +155,55 @@ Rasterizer::draw(const Mesh &mesh, const LitMesh &lit, const Mat4 &view,
     const double half_w = w / 2.0;
     const double half_h = h / 2.0;
 
-    // --- Project every vertex. (`char`, not `vector<bool>`: tiles
-    // write disjoint plain bytes, never shared packed words.) ---
-    const std::size_t n = mesh.vertices.size();
-    projected_.resize(n);
-    valid_.resize(n);
-    parallelFor("raster_xform", 0, n, 64,
-                [&](std::size_t vb, std::size_t ve) {
-        for (std::size_t i = vb; i < ve; ++i) {
-            const Vec4 clip = mvp * Vec4(mesh.vertices[i].position, 1.0);
-            valid_[i] = clip.w > 1e-6; // Else behind the near plane.
-            if (!valid_[i])
-                continue;
-            ProjectedVertex &out = projected_[i];
-            out.inv_w = 1.0 / clip.w;
+    // --- Project every vertex, 4 lanes at a time over the padded
+    // position arrays (no scalar tail). Each clip row is the unfused
+    // 0 + m0 x + m1 y + m2 z + m3 * 1 sequence of Mat4 * Vec4, and the
+    // divide and screen mapping are the scalar expressions per lane,
+    // so every lane is bit-identical to the one-vertex-at-a-time
+    // projection. (`char`, not `vector<bool>`: tiles write disjoint
+    // plain bytes, never shared packed words.) ---
+    const std::size_t padded = lit.pos_x.size();
+    ILLIXR_CHECK(padded == (mesh.vertices.size() + kLanes - 1) / kLanes *
+                               kLanes,
+                 "Rasterizer::draw: LitMesh built from another mesh");
+    projected_.resize(padded);
+    valid_.resize(padded);
+    VecD4 rows[4][4];
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c)
+            rows[r][c] = VecD4::broadcast(mvp.m[r][c]);
+    parallelFor("raster_xform", 0, padded / kLanes, 16,
+                [&](std::size_t gb, std::size_t ge) {
+        const VecD4 zero = VecD4::zero();
+        const VecD4 one = VecD4::broadcast(1.0);
+        for (std::size_t g = gb; g < ge; ++g) {
+            const std::size_t i0 = g * kLanes;
+            const VecD4 x = VecD4::load(&lit.pos_x[i0]);
+            const VecD4 y = VecD4::load(&lit.pos_y[i0]);
+            const VecD4 z = VecD4::load(&lit.pos_z[i0]);
+            const auto clip = [&](const VecD4 *m) {
+                return madd(madd(madd(madd(zero, m[0], x), m[1], y), m[2],
+                                 z),
+                            m[3], one);
+            };
+            const VecD4 cw = clip(rows[3]);
+            // Lanes with w <= 1e-6 (behind the near plane) are
+            // invalid; their projection is computed but never read.
+            const int valid =
+                maskBits(cmpGT(cw, VecD4::broadcast(1e-6)));
+            const VecD4 inv_w = one / cw;
             // Screen-space coordinates (y down).
-            out.sx = (clip.x * out.inv_w + 1.0) * half_w;
-            out.sy = (1.0 - clip.y * out.inv_w) * half_h;
-            out.z = clip.z * out.inv_w;
+            double sx[kLanes], sy[kLanes], sz[kLanes], iw[kLanes];
+            ((clip(rows[0]) * inv_w + one) * VecD4::broadcast(half_w))
+                .store(sx);
+            ((one - clip(rows[1]) * inv_w) * VecD4::broadcast(half_h))
+                .store(sy);
+            (clip(rows[2]) * inv_w).store(sz);
+            inv_w.store(iw);
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                valid_[i0 + l] = (valid >> l) & 1;
+                projected_[i0 + l] = {sx[l], sy[l], sz[l], iw[l]};
+            }
         }
     });
 
@@ -221,6 +270,8 @@ Rasterizer::draw(const Mesh &mesh, const LitMesh &lit, const Mat4 &view,
     // one band and each band replays its triangles in submission
     // order, so the depth-test sequence per pixel is identical to the
     // serial rasterizer. Fragment counts combine in band order. ---
+    const VecD4 zero4 = VecD4::zero();
+    const VecD4 centers4 = VecD4::load(kPixelCenters);
     std::vector<std::size_t> band_frags(bands, 0);
     parallelFor("raster_tiles", 0, bands, 1,
                 [&](std::size_t bb, std::size_t be) {
@@ -242,19 +293,42 @@ Rasterizer::draw(const Mesh &mesh, const LitMesh &lit, const Mat4 &view,
             const double e0x = cx - bx, e0y = cy - by;
             const double e1x = ax - cx, e1y = ay - cy;
             const double e2x = bx - ax, e2y = by - ay;
+            const VecD4 bx4 = VecD4::broadcast(bx);
+            const VecD4 cx4 = VecD4::broadcast(cx);
+            const VecD4 ax4 = VecD4::broadcast(ax);
+            const VecD4 e0y4 = VecD4::broadcast(e0y);
+            const VecD4 e1y4 = VecD4::broadcast(e1y);
+            const VecD4 e2y4 = VecD4::broadcast(e2y);
         for (int py = std::max(s.y0, band_y0);
              py <= std::min(s.y1, band_y1); ++py) {
             const double sy = py + 0.5;
             const double r0 = (sy - by) * e0x;
             const double r1 = (sy - cy) * e1x;
             const double r2 = (sy - ay) * e2x;
-            for (int px = s.x0; px <= s.x1; ++px) {
+            const VecD4 r04 = VecD4::broadcast(r0);
+            const VecD4 r14 = VecD4::broadcast(r1);
+            const VecD4 r24 = VecD4::broadcast(r2);
+            // Coverage of 4 pixels at a time: the per-pixel edge
+            // functions on lanes, one outside mask (any w < 0, exactly
+            // the scalar rejection, NaN included), then a visit of the
+            // covered pixels only, in ascending x.
+            for (int px4 = s.x0; px4 <= s.x1;
+                 px4 += static_cast<int>(kLanes)) {
+                const VecD4 sx4 = VecD4::broadcast(px4) + centers4;
+                const VecD4 outside = bitOr(
+                    bitOr(cmpLT((sx4 - bx4) * e0y4 - r04, zero4),
+                          cmpLT((sx4 - cx4) * e1y4 - r14, zero4)),
+                    cmpLT((sx4 - ax4) * e2y4 - r24, zero4));
+                const int lanes = std::min(static_cast<int>(kLanes),
+                                           s.x1 - px4 + 1);
+                auto covered = static_cast<unsigned>(
+                    ~maskBits(outside) & ((1 << lanes) - 1));
+            for (; covered != 0; covered &= covered - 1) {
+                const int px = px4 + std::countr_zero(covered);
                 const double sx = px + 0.5;
                 double w0 = (sx - bx) * e0y - r0;
                 double w1 = (sx - cx) * e1y - r1;
                 double w2 = (sx - ax) * e2y - r2;
-                if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0)
-                    continue; // Outside (all-positive inside).
                 w0 *= inv_area;
                 w1 *= inv_area;
                 w2 *= inv_area;
@@ -305,6 +379,7 @@ Rasterizer::draw(const Mesh &mesh, const LitMesh &lit, const Mat4 &view,
                          std::clamp(rgb.y, 0.0, 1.0),
                          std::clamp(rgb.z, 0.0, 1.0)));
                 ++frags;
+            }
             }
         }
         }

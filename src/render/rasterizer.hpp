@@ -66,6 +66,9 @@ struct LitMesh
     std::vector<Vec3> world;  ///< World-space vertex positions.
     std::vector<Vec3> normal; ///< Unit world-space normals.
     std::vector<Vec3> color;  ///< Gouraud-lit (PerPixel: base) colours.
+    /** Model-space vertex positions as x/y/z arrays for the 4-lane
+     *  projection, zero-padded to a multiple of 4 entries. */
+    std::vector<double> pos_x, pos_y, pos_z;
     Vec3 bound_center;        ///< Model-space bounding sphere of the
     double bound_radius = 0.0; ///< mesh, for the whole-object reject.
 };
@@ -160,6 +163,7 @@ class Rasterizer
     RasterStats stats_;
 
     // Per-draw scratch, kept across draws so a frame allocates it once.
+    // Sized like LitMesh::pos_x: padding lanes are projected too.
     std::vector<ProjectedVertex> projected_;
     std::vector<char> valid_; ///< clip w > 1e-6 (char: tiles write bytes).
     std::vector<SetupTriangle> tris_;

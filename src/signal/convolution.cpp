@@ -1,6 +1,6 @@
 #include "signal/convolution.hpp"
 
-#include <cassert>
+#include "foundation/check.hpp"
 
 namespace illixr {
 
@@ -44,7 +44,8 @@ FrequencyDomainFilter::FrequencyDomainFilter(
     const std::vector<double> &impulse_response, std::size_t block_size)
     : blockSize_(block_size)
 {
-    assert(block_size > 0 && !impulse_response.empty());
+    ILLIXR_CHECK(block_size > 0 && !impulse_response.empty(),
+                 "FrequencyDomainFilter: empty block or impulse response");
     fftSize_ = nextPowerOfTwo(block_size + impulse_response.size() - 1);
     filterSpectrum_.assign(fftSize_, Complex(0.0, 0.0));
     for (std::size_t i = 0; i < impulse_response.size(); ++i)
@@ -56,7 +57,8 @@ FrequencyDomainFilter::FrequencyDomainFilter(
 std::vector<double>
 FrequencyDomainFilter::process(const std::vector<double> &block)
 {
-    assert(block.size() == blockSize_);
+    ILLIXR_CHECK(block.size() == blockSize_,
+                 "FrequencyDomainFilter::process: block size mismatch");
     std::vector<Complex> buf(fftSize_, Complex(0.0, 0.0));
     for (std::size_t i = 0; i < blockSize_; ++i)
         buf[i] = Complex(block[i], 0.0);

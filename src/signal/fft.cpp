@@ -1,9 +1,9 @@
 #include "signal/fft.hpp"
 
+#include "foundation/check.hpp"
 #include "foundation/simd.hpp"
 #include "runtime/parallel.hpp"
 
-#include <cassert>
 #include <cstring>
 #include <map>
 #include <cmath>
@@ -29,7 +29,7 @@ void
 fft(std::vector<Complex> &data, bool inverse)
 {
     const std::size_t n = data.size();
-    assert(isPowerOfTwo(n));
+    ILLIXR_CHECK(isPowerOfTwo(n), "fft: size must be a power of two");
 
     // Bit-reversal permutation.
     for (std::size_t i = 1, j = 0; i < n; ++i) {
@@ -143,8 +143,10 @@ void
 fft2d(std::vector<Complex> &grid, std::size_t width, std::size_t height,
       bool inverse)
 {
-    assert(grid.size() == width * height);
-    assert(isPowerOfTwo(width) && isPowerOfTwo(height));
+    ILLIXR_CHECK(grid.size() == width * height,
+                 "fft2d: grid size must be width * height");
+    ILLIXR_CHECK(isPowerOfTwo(width) && isPowerOfTwo(height),
+                 "fft2d: width and height must be powers of two");
 
     // Transform rows. Each row is an independent 1-D FFT into a
     // per-tile staging buffer (the twiddle cache is thread_local).

@@ -1,5 +1,6 @@
 #include "visual/timewarp.hpp"
 
+#include "foundation/check.hpp"
 #include "runtime/parallel.hpp"
 
 #include <cmath>
@@ -11,6 +12,9 @@ namespace {
 
 /** Sentinel marking an off-frame / behind-camera mesh node. */
 constexpr double kInvalidUv = -1e9;
+
+/** Most images one warp pass samples (both eyes). */
+constexpr std::size_t kMaxEyes = 2;
 
 } // namespace
 
@@ -87,14 +91,45 @@ RgbImage
 Timewarp::reproject(const RgbImage &rendered, const Pose &render_pose,
                     const Pose &fresh_pose)
 {
-    const int w = rendered.width();
-    const int h = rendered.height();
     RgbImage out;
+    const RgbImage *src[] = {&rendered};
+    RgbImage *dst[] = {&out};
+    warp(src, dst, render_pose, fresh_pose);
+    return out;
+}
 
-    // --- FBO setup: allocate/clear the output target. ---
+void
+Timewarp::reprojectStereo(const RgbImage &left, const RgbImage &right,
+                          const Pose &render_pose, const Pose &fresh_pose,
+                          RgbImage &out_left, RgbImage &out_right)
+{
+    ILLIXR_CHECK(left.width() == right.width() &&
+                     left.height() == right.height(),
+                 "Timewarp::reprojectStereo: eye sizes differ");
+    // The outputs are cleared before the inputs are read.
+    ILLIXR_CHECK(&out_left != &out_right && &out_left != &left &&
+                     &out_left != &right && &out_right != &left &&
+                     &out_right != &right,
+                 "Timewarp::reprojectStereo: an output aliases an image");
+    const RgbImage *src[] = {&left, &right};
+    RgbImage *dst[] = {&out_left, &out_right};
+    warp(src, dst, render_pose, fresh_pose);
+}
+
+void
+Timewarp::warp(std::span<const RgbImage *const> src,
+               std::span<RgbImage *const> dst, const Pose &render_pose,
+               const Pose &fresh_pose)
+{
+    const int w = src[0]->width();
+    const int h = src[0]->height();
+    const std::size_t eyes = src.size();
+
+    // --- FBO setup: allocate/clear the output targets. ---
     {
         ScopedTask timer(profile_, "fbo");
-        out = RgbImage(w, h, Vec3(0, 0, 0));
+        for (RgbImage *out : dst)
+            *out = RgbImage(w, h, Vec3(0, 0, 0));
     }
 
     // --- State update: recompute the warp mesh for this pose pair
@@ -108,7 +143,9 @@ Timewarp::reproject(const RgbImage &rendered, const Pose &render_pose,
         buildMesh(delta, w, h);
     }
 
-    // --- Reprojection: per-pixel interpolation and sampling. ---
+    // --- Reprojection: per-pixel interpolation and sampling. Each
+    //     pixel's source UV and bilinear tap per channel depend only
+    //     on the mesh, so one evaluation serves every eye. ---
     {
         ScopedTask timer(profile_, "reprojection");
         const int cols = params_.mesh_cols + 1;
@@ -116,9 +153,19 @@ Timewarp::reproject(const RgbImage &rendered, const Pose &render_pose,
             static_cast<double>(w) / params_.mesh_cols;
         const double cell_h =
             static_cast<double>(h) / params_.mesh_rows;
+        // Per output column: its mesh cell and the weight within it.
+        std::vector<std::size_t> col_cell(static_cast<std::size_t>(w));
+        std::vector<double> col_fx(static_cast<std::size_t>(w));
+        for (int x = 0; x < w; ++x) {
+            const double gx = (x + 0.5) / cell_w;
+            const int c0 = std::min(static_cast<int>(gx),
+                                    params_.mesh_cols - 1);
+            col_cell[x] = static_cast<std::size_t>(c0);
+            col_fx[x] = gx - c0;
+        }
 
         // Scanline blocks: output rows are independent (reads only
-        // touch the mesh and the rendered frame).
+        // touch the mesh and the rendered frames).
         parallelFor("timewarp", 0, static_cast<std::size_t>(h), 8,
                     [&](std::size_t yb, std::size_t ye) {
         for (int y = static_cast<int>(yb); y < static_cast<int>(ye);
@@ -127,29 +174,20 @@ Timewarp::reproject(const RgbImage &rendered, const Pose &render_pose,
             const int r0 = std::min(static_cast<int>(gy),
                                     params_.mesh_rows - 1);
             const double fy = gy - r0;
+            const std::size_t row0 = static_cast<std::size_t>(r0) * cols;
+            const std::size_t row1 = row0 + cols;
             for (int x = 0; x < w; ++x) {
-                const double gx = (x + 0.5) / cell_w;
-                const int c0 = std::min(static_cast<int>(gx),
-                                        params_.mesh_cols - 1);
-                const double fx = gx - c0;
+                const std::size_t c0 = col_cell[x];
+                const double fx = col_fx[x];
 
-                double rgb[3];
+                float rgb[kMaxEyes][3];
                 bool ok = true;
                 for (int ch = 0; ch < 3; ++ch) {
-                    const Vec2 &uv00 =
-                        meshUv_[ch][static_cast<std::size_t>(r0) * cols +
-                                    c0];
-                    const Vec2 &uv01 =
-                        meshUv_[ch][static_cast<std::size_t>(r0) * cols +
-                                    c0 + 1];
-                    const Vec2 &uv10 =
-                        meshUv_[ch][static_cast<std::size_t>(r0 + 1) *
-                                        cols +
-                                    c0];
-                    const Vec2 &uv11 =
-                        meshUv_[ch][static_cast<std::size_t>(r0 + 1) *
-                                        cols +
-                                    c0 + 1];
+                    const std::vector<Vec2> &mesh = meshUv_[ch];
+                    const Vec2 &uv00 = mesh[row0 + c0];
+                    const Vec2 &uv01 = mesh[row0 + c0 + 1];
+                    const Vec2 &uv10 = mesh[row1 + c0];
+                    const Vec2 &uv11 = mesh[row1 + c0 + 1];
                     if (uv00.x <= kInvalidUv / 2 ||
                         uv01.x <= kInvalidUv / 2 ||
                         uv10.x <= kInvalidUv / 2 ||
@@ -165,18 +203,27 @@ Timewarp::reproject(const RgbImage &rendered, const Pose &render_pose,
                         ok = false;
                         break;
                     }
-                    const ImageF &plane =
-                        ch == 0 ? rendered.r
-                                : (ch == 1 ? rendered.g : rendered.b);
-                    rgb[ch] = plane.sampleBilinear(uv.x, uv.y);
+                    const BilinearTap tap =
+                        src[0]->r.bilinearTap(uv.x, uv.y);
+                    for (std::size_t e = 0; e < eyes; ++e) {
+                        const RgbImage &in = *src[e];
+                        const ImageF &plane =
+                            ch == 0 ? in.r : (ch == 1 ? in.g : in.b);
+                        rgb[e][ch] = plane.sample(tap);
+                    }
                 }
-                if (ok)
-                    out.setPixel(x, y, Vec3(rgb[0], rgb[1], rgb[2]));
+                if (!ok)
+                    continue;
+                for (std::size_t e = 0; e < eyes; ++e) {
+                    RgbImage &out = *dst[e];
+                    out.r.at(x, y) = rgb[e][0];
+                    out.g.at(x, y) = rgb[e][1];
+                    out.b.at(x, y) = rgb[e][2];
+                }
             }
         }
                     });
     }
-    return out;
 }
 
 RgbImage

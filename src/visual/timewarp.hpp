@@ -21,6 +21,8 @@
 #include "foundation/profile.hpp"
 #include "image/image.hpp"
 
+#include <span>
+
 namespace illixr {
 
 /** Reprojection configuration. */
@@ -57,6 +59,21 @@ class Timewarp
                        const Pose &fresh_pose);
 
     /**
+     * Rotational reprojection of both eyes in one pass. The eyes share
+     * the pose pair and the size, so the warp mesh, every per-pixel
+     * source UV and bilinear tap are computed once and sample both
+     * images; each output is bit-identical to reproject() of that
+     * eye. The Table VII profile records one fbo / state_update /
+     * reprojection row per call.
+     *
+     * @throws std::invalid_argument if the eyes differ in size, or if
+     *         an output is an input or the other output.
+     */
+    void reprojectStereo(const RgbImage &left, const RgbImage &right,
+                         const Pose &render_pose, const Pose &fresh_pose,
+                         RgbImage &out_left, RgbImage &out_right);
+
+    /**
      * Translational (positional) reprojection using the rendered
      * depth buffer as proxy geometry (post-paper extension).
      *
@@ -81,6 +98,12 @@ class Timewarp
      * rotation delta; the per-pixel pass interpolates these.
      */
     void buildMesh(const Mat3 &delta_rotation, int width, int height);
+
+    /** The warp kernel of reproject() and reprojectStereo(): warps
+     *  each of @p src (all one size) into the matching @p dst. */
+    void warp(std::span<const RgbImage *const> src,
+              std::span<RgbImage *const> dst, const Pose &render_pose,
+              const Pose &fresh_pose);
 
     TimewarpParams params_;
     TaskProfile profile_;

@@ -319,10 +319,9 @@ TimewarpPlugin::iterate(TimePoint now)
     auto out = displayWriter_.make();
     out->time = now;
     out->imu_age_ms = imu_age_ms;
-    out->left = warp_.reproject(submitted->frame.left,
-                                submitted->frame.render_pose, fresh);
-    out->right = warp_.reproject(submitted->frame.right,
-                                 submitted->frame.render_pose, fresh);
+    warp_.reprojectStereo(submitted->frame.left, submitted->frame.right,
+                          submitted->frame.render_pose, fresh, out->left,
+                          out->right);
     displayWriter_.put(std::move(out));
 }
 

@@ -15,12 +15,15 @@
 
 #include "foundation/simd.hpp"
 
+#include "audio/ambisonics.hpp"
+#include "audio/binaural.hpp"
 #include "eyetrack/layers.hpp"
 #include "foundation/rng.hpp"
 #include "image/filter.hpp"
 #include "linalg/matrix.hpp"
 #include "recon/tsdf.hpp"
 #include "runtime/parallel.hpp"
+#include "signal/convolution.hpp"
 #include "signal/fft.hpp"
 #include "slam/fast.hpp"
 
@@ -31,6 +34,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 namespace illixr {
@@ -579,6 +583,41 @@ TEST(SimdKernels, FftSmallAndOddStagesMatchDft)
 // ---------------------------------------------------------------------
 
 using SimdOverlapDeathTest = ::testing::Test;
+
+TEST(KernelPreconditions, ShapeMismatchThrowsEvenWithAssertsOff)
+{
+    // The FFT, convolution, CNN-layer and audio entry points check
+    // their shapes with ILLIXR_CHECK, not assert: a mismatch throws
+    // in every build type instead of reading or writing out of bounds.
+    std::vector<Complex> six(6);
+    EXPECT_THROW(fft(six, false), std::invalid_argument);
+    std::vector<Complex> grid(4 * 4);
+    EXPECT_THROW(fft2d(grid, 4, 2, false), std::invalid_argument);
+    std::vector<Complex> wide(6 * 4);
+    EXPECT_THROW(fft2d(wide, 6, 4, false), std::invalid_argument);
+
+    EXPECT_THROW(FrequencyDomainFilter({}, 8), std::invalid_argument);
+    FrequencyDomainFilter filter({1.0, 0.5}, 8);
+    EXPECT_THROW(filter.process(std::vector<double>(7)),
+                 std::invalid_argument);
+
+    EXPECT_THROW(Conv2d(2, 2, 5), std::invalid_argument);
+    EXPECT_THROW(Conv2d(3, 2, 3).forward(Tensor(2, 4, 4)),
+                 std::invalid_argument);
+    EXPECT_THROW(BatchNorm(3).forward(Tensor(2, 4, 4)),
+                 std::invalid_argument);
+    EXPECT_THROW(concatChannels(Tensor(1, 4, 4), Tensor(1, 4, 2)),
+                 std::invalid_argument);
+
+    Soundfield field(64);
+    EXPECT_THROW(field.add(Soundfield(32)), std::invalid_argument);
+    EXPECT_THROW(encodeSource(std::vector<double>(32), Vec3(1, 0, 0),
+                              field),
+                 std::invalid_argument);
+    EXPECT_THROW(Binauralizer(32).process(field), std::invalid_argument);
+    PsychoacousticFilter psycho(32);
+    EXPECT_THROW(psycho.process(field), std::invalid_argument);
+}
 
 TEST(SimdOverlapDeathTest, GaussianBlurAbortsOnOverlap)
 {

@@ -6,12 +6,15 @@
 
 #include "image/ssim.hpp"
 #include "render/app.hpp"
+#include "sensors/trajectory.hpp"
 #include "visual/hologram.hpp"
 #include "visual/timewarp.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 namespace illixr {
 namespace {
@@ -148,6 +151,147 @@ TEST(TimewarpTest, TaskProfileHasAllTableRows)
     EXPECT_GT(warp.profile().taskSeconds("fbo"), 0.0);
     EXPECT_GT(warp.profile().taskSeconds("state_update"), 0.0);
     EXPECT_GT(warp.profile().taskSeconds("reprojection"), 0.0);
+}
+
+/** FNV-1a over the bytes of each colour plane of @p img. */
+std::uint64_t
+digestImage(std::uint64_t h, const RgbImage &img)
+{
+    for (const ImageF *plane : {&img.r, &img.g, &img.b}) {
+        const auto *bytes =
+            reinterpret_cast<const unsigned char *>(plane->data());
+        for (std::size_t i = 0; i < plane->pixelCount() * sizeof(float);
+             ++i) {
+            h ^= bytes[i];
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+/**
+ * Calls fn(frame, render_pose, fresh_pose) for 6 Sponza stereo frames
+ * (lab walk, seed 7) of @p width x @p height px eyes, each warped to 5
+ * fresh poses: from no motion up to a 1.2 rad yaw that puts part of
+ * the warp mesh behind the render camera.
+ */
+template <typename F>
+void
+forEachWarpCase(int width, int height, F &&fn)
+{
+    const Trajectory traj = Trajectory::labWalk(7);
+    AppConfig cfg;
+    cfg.eye_width = width;
+    cfg.eye_height = height;
+    XrApplication app(AppId::Sponza, cfg);
+    const Quat deltas[] = {
+        Quat::identity(),
+        Quat::fromAxisAngle(Vec3(0, 1, 0), 0.03),
+        Quat::fromAxisAngle(Vec3(1, 0, 0), -0.08),
+        Quat::fromAxisAngle(Vec3(1, 1, 1).normalized(), 0.25),
+        Quat::fromAxisAngle(Vec3(0, 1, 0), 1.2),
+    };
+    for (int i = 0; i < 6; ++i) {
+        const Pose head = traj.pose(i * 0.4);
+        const StereoFrame f = app.renderFrame(head, i * 0.4);
+        for (const Quat &d : deltas)
+            fn(f, head, Pose(head.orientation * d, head.position));
+    }
+}
+
+/** Digest of the single-eye warps of every forEachWarpCase() case. */
+std::uint64_t
+warpDigest(const TimewarpParams &params, int width, int height)
+{
+    Timewarp warp(params);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    forEachWarpCase(width, height, [&](const StereoFrame &f,
+                                       const Pose &head,
+                                       const Pose &fresh) {
+        h = digestImage(h, warp.reproject(f.left, head, fresh));
+        h = digestImage(h, warp.reproject(f.right, head, fresh));
+    });
+    return h;
+}
+
+TEST(TimewarpTest, WarpMatchesSeedDigests)
+{
+    // Digests of the per-eye scalar warp. Restructuring the warp loop
+    // is a pure optimization: every display pixel must stay
+    // bit-identical.
+    TimewarpParams def;
+    TimewarpParams no_chroma;
+    no_chroma.chromatic_correction = false;
+    TimewarpParams no_lens;
+    no_lens.lens_distortion = false;
+    struct Golden
+    {
+        const char *name;
+        const TimewarpParams *params;
+        int width, height;
+        std::uint64_t digest;
+    };
+    const Golden golden[] = {
+        {"default", &def, 80, 80, 0x0d2b9b0da28179e0ULL},
+        {"no_chroma", &no_chroma, 80, 80, 0x8caeaf079f04c0dbULL},
+        {"no_lens", &no_lens, 80, 80, 0xac72128f7d33db36ULL},
+        {"default_96x64", &def, 96, 64, 0x5558791fd5fccf4cULL},
+    };
+    for (const Golden &g : golden) {
+        const std::uint64_t d = warpDigest(*g.params, g.width, g.height);
+        EXPECT_EQ(d, g.digest) << g.name << ": got 0x" << std::hex << d;
+    }
+}
+
+TEST(TimewarpTest, StereoEqualsTwoSingleEyeWarps)
+{
+    // One stereo pass shares the mesh, UVs and taps between the eyes;
+    // each output must equal that eye's own warp bit for bit.
+    TimewarpParams no_lens;
+    no_lens.lens_distortion = false;
+    for (const TimewarpParams &params : {TimewarpParams(), no_lens}) {
+        Timewarp mono(params);
+        Timewarp stereo(params);
+        int cases = 0;
+        forEachWarpCase(96, 64, [&](const StereoFrame &f,
+                                    const Pose &head, const Pose &fresh) {
+            RgbImage left, right;
+            stereo.reprojectStereo(f.left, f.right, head, fresh, left,
+                                   right);
+            EXPECT_EQ(digestImage(0, left),
+                      digestImage(0, mono.reproject(f.left, head, fresh)))
+                << "case " << cases;
+            EXPECT_EQ(digestImage(0, right),
+                      digestImage(0, mono.reproject(f.right, head, fresh)))
+                << "case " << cases;
+            ++cases;
+        });
+        EXPECT_EQ(cases, 30);
+    }
+}
+
+TEST(TimewarpTest, StereoRejectsMismatchedOrAliasedImages)
+{
+    Timewarp warp;
+    RgbImage left, right;
+    EXPECT_THROW(warp.reprojectStereo(RgbImage(32, 32), RgbImage(32, 16),
+                                      Pose::identity(), Pose::identity(),
+                                      left, right),
+                 std::invalid_argument);
+    EXPECT_THROW(warp.reprojectStereo(RgbImage(32, 32), RgbImage(16, 32),
+                                      Pose::identity(), Pose::identity(),
+                                      left, right),
+                 std::invalid_argument);
+    // Warping into an input would clear it before it is read.
+    RgbImage eye(32, 32, Vec3(0.5, 0.5, 0.5));
+    EXPECT_THROW(warp.reprojectStereo(eye, RgbImage(32, 32),
+                                      Pose::identity(), Pose::identity(),
+                                      eye, right),
+                 std::invalid_argument);
+    EXPECT_THROW(warp.reprojectStereo(RgbImage(32, 32), eye,
+                                      Pose::identity(), Pose::identity(),
+                                      left, left),
+                 std::invalid_argument);
 }
 
 TEST(TimewarpTest, PositionalReprojectionHandlesTranslation)
