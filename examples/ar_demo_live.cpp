@@ -1,13 +1,10 @@
 /**
  * @file
- * Live-runtime example: runs the plugin set on a *live* executor
- * (wall-clock periods) instead of the discrete-event scheduler — the
- * §II-B "live system" mode of the runtime, demonstrated for two
- * wall-clock seconds with the sparse AR application.
- *
- * `--executor=rt` (default) uses the thread-per-plugin RtExecutor;
- * `--executor=pool` uses the worker-pool PoolExecutor, with
- * `--workers=N` selecting the pool size.
+ * Live-runtime example: runs the plugin set on the live worker-pool
+ * PoolExecutor (wall-clock periods) instead of the discrete-event
+ * scheduler — the §II-B "live system" mode of the runtime,
+ * demonstrated for two wall-clock seconds with the sparse AR
+ * application. `--workers=N` selects the pool size.
  *
  * `--fault-plan=SPEC` injects faults from a parseFaultPlan() spec
  * (e.g. "seed=7,crash=0.01,stall=0.02,drop=0.05") and
@@ -17,7 +14,6 @@
 
 #include "resilience/resilience.hpp"
 #include "runtime/pool_executor.hpp"
-#include "runtime/rt_executor.hpp"
 #include "trace/trace.hpp"
 #include "trace/metrics_registry.hpp"
 #include "xr/plugins.hpp"
@@ -31,16 +27,11 @@ using namespace illixr;
 int
 main(int argc, char **argv)
 {
-    bool use_pool = false;
     std::size_t workers = 4;
     ResilienceConfig rcfg;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--executor=rt") {
-            use_pool = false;
-        } else if (arg == "--executor=pool") {
-            use_pool = true;
-        } else if (arg.rfind("--workers=", 0) == 0) {
+        if (arg.rfind("--workers=", 0) == 0) {
             workers = static_cast<std::size_t>(
                 std::strtoul(arg.c_str() + 10, nullptr, 10));
             if (workers == 0)
@@ -55,15 +46,14 @@ main(int argc, char **argv)
             rcfg.degrade = true;
         } else {
             std::fprintf(stderr,
-                         "usage: ar_demo_live [--executor=rt|pool] "
-                         "[--workers=N] [--fault-plan=SPEC] "
-                         "[--resilience]\n");
+                         "usage: ar_demo_live [--workers=N] "
+                         "[--fault-plan=SPEC] [--resilience]\n");
             return 2;
         }
     }
 
-    std::printf("Live AR demo on the %s runtime (2 s wall clock)\n\n",
-                use_pool ? "worker-pool" : "real-threaded");
+    std::printf("Live AR demo on the worker-pool runtime (2 s wall "
+                "clock)\n\n");
 
     // Services.
     Phonebook phonebook;
@@ -95,8 +85,7 @@ main(int argc, char **argv)
     AudioEncoderPlugin audio_enc(phonebook, tuning);
     AudioPlaybackPlugin audio_play(phonebook, tuning);
 
-    // All executors implement the Executor interface; this example
-    // drives a live one through it, with the same trace sink the
+    // The live pool records into the same trace sink the
     // discrete-event scheduler uses (wall-clock spans).
     auto sink = std::make_shared<TraceSink>();
     switchboard->setTraceSink(sink);
@@ -117,36 +106,31 @@ main(int argc, char **argv)
                     faultPlanSummary(rcfg.fault_plan).c_str());
     }
 
-    RtExecutor rt_executor;
     PoolExecutorConfig pool_cfg;
     pool_cfg.workers = workers;
-    PoolExecutor pool_executor(pool_cfg);
-    ExecutorBase &executor =
-        use_pool ? static_cast<ExecutorBase &>(pool_executor)
-                 : static_cast<ExecutorBase &>(rt_executor);
-    Executor &exec = executor;
+    PoolExecutor executor(pool_cfg);
     executor.setTraceSink(sink);
     executor.setMetrics(metrics.get());
     executor.setPhonebook(&phonebook);
-    exec.addPlugin(&camera);
-    exec.addPlugin(&imu);
-    exec.addPlugin(&integrator);
-    exec.addPlugin(&app);
-    exec.addPlugin(&timewarp);
-    exec.addPlugin(&audio_enc);
-    exec.addPlugin(&audio_play);
+    executor.addPlugin(&camera);
+    executor.addPlugin(&imu);
+    executor.addPlugin(&integrator);
+    executor.addPlugin(&app);
+    executor.addPlugin(&timewarp);
+    executor.addPlugin(&audio_enc);
+    executor.addPlugin(&audio_play);
     if (resilience) {
         resilience->attach(executor);
         if (resilience->degradationPlugin())
-            exec.addPlugin(resilience->degradationPlugin());
+            executor.addPlugin(resilience->degradationPlugin());
     }
 
-    exec.run(2 * kSecond);
+    executor.run(2 * kSecond);
 
     std::printf("Iterations over 2 s wall clock (%s timeline):\n",
-                exec.timeline());
-    for (const std::string &name : exec.taskNames()) {
-        const TaskStats &stats = exec.stats(name);
+                executor.timeline());
+    for (const std::string &name : executor.taskNames()) {
+        const TaskStats &stats = executor.stats(name);
         std::printf("  %-16s %4zu (%.1f Hz), exec %.2f ms, %zu skips\n",
                     name.c_str(), stats.invocations,
                     stats.achievedHz(2 * kSecond), stats.exec_ms.mean(),

@@ -20,7 +20,7 @@ ResilienceContext::ResilienceContext(const ResilienceConfig &config,
 }
 
 void
-ResilienceContext::attach(ExecutorBase &executor)
+ResilienceContext::attach(Executor &executor)
 {
     executor.setInterceptor(this);
     if (supervisor_)

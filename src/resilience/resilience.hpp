@@ -66,7 +66,7 @@ class ResilienceContext final : public InvocationInterceptor
      * here — the caller registers degradationPlugin() like any other
      * plugin, so it lands on the right lane/period.
      */
-    void attach(ExecutorBase &executor);
+    void attach(Executor &executor);
 
     // ---- InvocationInterceptor (the chained boundary) ----
 

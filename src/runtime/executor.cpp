@@ -16,8 +16,8 @@ TaskStats::achievedHz(Duration wall) const
     return static_cast<double>(invocations) / toSeconds(wall);
 }
 
-ExecutorBase::TaskMetrics
-ExecutorBase::internMetrics(const std::string &task)
+Executor::TaskMetrics
+Executor::internMetrics(const std::string &task)
 {
     TaskMetrics m;
     if (!metrics_)
@@ -30,8 +30,8 @@ ExecutorBase::internMetrics(const std::string &task)
 }
 
 InvocationOutcome
-ExecutorBase::invokeGuarded(Plugin &plugin, std::uint64_t attempt,
-                            TimePoint now, std::uint64_t span_id)
+Executor::invokeGuarded(Plugin &plugin, std::uint64_t attempt,
+                        TimePoint now, std::uint64_t span_id)
 {
     InvocationOutcome out;
     PreInvocationAction pre;
@@ -82,7 +82,7 @@ ExecutorBase::invokeGuarded(Plugin &plugin, std::uint64_t attempt,
 }
 
 void
-ExecutorBase::requestStop()
+Executor::requestStop()
 {
     {
         // The lock orders the flag-store before any waiter's re-check:
@@ -95,7 +95,7 @@ ExecutorBase::requestStop()
 }
 
 void
-ExecutorBase::interruptibleSleep(Duration duration)
+Executor::interruptibleSleep(Duration duration)
 {
     if (duration <= 0)
         return;
@@ -107,7 +107,7 @@ ExecutorBase::interruptibleSleep(Duration duration)
 }
 
 void
-ExecutorBase::startPlugins()
+Executor::startPlugins()
 {
     if (started_)
         return;
@@ -119,7 +119,7 @@ ExecutorBase::startPlugins()
 }
 
 void
-ExecutorBase::stopPlugins()
+Executor::stopPlugins()
 {
     if (!started_)
         return;

@@ -2,15 +2,16 @@
  * @file
  * Executor: the one interface over both ways of running a plugin set
  * — the discrete-event SimScheduler (virtual timeline) and the
- * real-threaded RtExecutor (wall clock). Examples and benches program
- * against this interface, so simulated and live execution are
- * swappable without divergent call sites.
+ * worker-pool PoolExecutor (wall clock live, virtual when
+ * deterministic). Examples and benches program against this
+ * interface, so simulated and live execution are swappable without
+ * divergent call sites.
  *
- * The base class also unifies the plugin lifecycle, which the two
- * executors previously half-duplicated (and half-skipped): run()
- * calls Plugin::start() in registration order before the first
- * iterate() and Plugin::stop() in reverse order after the last one,
- * on both timelines.
+ * The class also unifies the plugin lifecycle, which the executors
+ * previously half-duplicated (and half-skipped): run() calls
+ * Plugin::start() in registration order before the first iterate()
+ * and Plugin::stop() in reverse order after the last one, on both
+ * timelines.
  *
  * Instrumentation: an attached TraceSink receives one Span per
  * invocation (task, exec unit, arrival/start/completion, skip
@@ -124,7 +125,8 @@ class InvocationInterceptor
 };
 
 /**
- * The executor interface.
+ * The executor interface, with the lifecycle and instrumentation
+ * plumbing both executors share.
  */
 class Executor
 {
@@ -134,17 +136,8 @@ class Executor
     /** Register a periodic plugin (not owned). Precedes run(). */
     virtual void addPlugin(Plugin *plugin) = 0;
 
-    /**
-     * Register a vsync-aligned plugin (reprojection). Executors
-     * without late-latch scheduling run it as plain periodic at the
-     * vsync period.
-     */
-    virtual void
-    addVsyncAlignedPlugin(Plugin *plugin, Duration vsync)
-    {
-        (void)vsync;
-        addPlugin(plugin);
-    }
+    /** Register a vsync-aligned plugin (reprojection). */
+    virtual void addVsyncAlignedPlugin(Plugin *plugin, Duration vsync) = 0;
 
     /**
      * Run the plugin set for @p duration (virtual or wall time,
@@ -159,21 +152,12 @@ class Executor
     /** Names of all registered tasks. */
     virtual std::vector<std::string> taskNames() const = 0;
 
-    /** Attach the span/lineage sink (nullptr disables tracing). */
-    virtual void setTraceSink(std::shared_ptr<TraceSink> sink) = 0;
-
     /** "virtual" or "wall": which timeline the timestamps are on. */
     virtual const char *timeline() const = 0;
-};
 
-/**
- * Shared lifecycle + instrumentation plumbing of both executors.
- */
-class ExecutorBase : public Executor
-{
-  public:
+    /** Attach the span/lineage sink (nullptr disables tracing). */
     void
-    setTraceSink(std::shared_ptr<TraceSink> sink) override
+    setTraceSink(std::shared_ptr<TraceSink> sink)
     {
         sink_ = std::move(sink);
     }
@@ -249,9 +233,9 @@ class ExecutorBase : public Executor
     void stopPlugins();
 
     /**
-     * Block for @p duration, or until requestStop() — the wall-clock
-     * executors' run() bodies sleep through this so an eviction never
-     * has to wait out the configured duration.
+     * Block for @p duration, or until requestStop() — a wall-clock
+     * run() sleeps through this so an eviction never has to wait out
+     * the configured duration.
      */
     void interruptibleSleep(Duration duration);
 

@@ -138,7 +138,6 @@ PoolExecutor::run(Duration duration)
     start();
     interruptibleSleep(duration); // Eviction cuts the wall run short.
     stop();
-    runDuration_ = duration;
 }
 
 void
@@ -192,6 +191,9 @@ PoolExecutor::stop()
             t.join();
     }
     workers_.clear();
+    // The run covered start() to the last joined invocation — less
+    // than the requested duration when an eviction cut it short.
+    runDuration_ = wallNs();
     stopPlugins();
 }
 
@@ -408,7 +410,6 @@ void
 PoolExecutor::runVirtual(Duration duration)
 {
     startPlugins();
-    runDuration_ = duration;
     busyCpu_ = 0;
     busyGpu_ = 0;
     for (auto &entry : entries_) {
@@ -625,15 +626,22 @@ PoolExecutor::runVirtual(Duration duration)
             pushArrival(i, 0);
     }
 
+    // The run covers the whole horizon unless evicted, when it ends
+    // at the last event processed.
+    runDuration_ = duration;
+    TimePoint last_event = 0;
     while (!queue.empty()) {
         // Cooperative eviction (Session::stop()): wind down at the
         // next virtual-event boundary; the lifecycle below still runs.
-        if (stopRequested())
+        if (stopRequested()) {
+            runDuration_ = last_event;
             break;
+        }
         const SimEvent ev = queue.top();
         queue.pop();
         if (ev.time > duration)
             break;
+        last_event = ev.time;
         Entry &entry = *entries_[ev.task];
 
         if (ev.type == 1) { // Completion frees worker and slot.

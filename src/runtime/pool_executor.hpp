@@ -1,8 +1,9 @@
 /**
  * @file
  * PoolExecutor: a fixed-size worker pool over the plugin set, the
- * third implementation of the Executor interface next to the
- * discrete-event SimScheduler and the thread-per-plugin RtExecutor.
+ * wall-clock implementation of the Executor interface next to the
+ * discrete-event SimScheduler (paper §II-B: the runtime as a live
+ * system).
  *
  * The pool runs the paper's three pipelines genuinely concurrently
  * (§III's per-stage variability only appears when stages contend),
@@ -87,7 +88,7 @@ struct PoolExecutorConfig
 /**
  * Fixed-size worker-pool executor.
  */
-class PoolExecutor : public ExecutorBase
+class PoolExecutor : public Executor
 {
   public:
     explicit PoolExecutor(PoolExecutorConfig config = {});
@@ -234,7 +235,7 @@ class PoolExecutor : public ExecutorBase
     std::mutex simWakeupMutex_;
     std::vector<std::size_t> simWakeups_;
 
-    Duration runDuration_ = 0;
+    Duration runDuration_ = 0; ///< Time the last run covered.
     Duration busyCpu_ = 0;
     Duration busyGpu_ = 0;
 

@@ -162,22 +162,18 @@ SimScheduler::run(Duration duration)
     startPlugins();
     runDuration_ = duration;
     now_ = 0;
-    // Seed arrivals.
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        if (tasks_[i].vsync_aligned) {
-            // First dispatch aims at the first vsync; with no EMA yet
-            // it simply starts at 0.
-            scheduleArrival(i, 0);
-        } else {
-            scheduleArrival(i, 0);
-        }
-    }
+    // Seed arrivals at 0 (a vsync-aligned task has no EMA yet to
+    // dispatch it any later).
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+        scheduleArrival(i, 0);
 
     while (!queue_.empty()) {
         // Cooperative eviction (Session::stop()): wind down at the
         // next event boundary; stopPlugins() below still runs.
-        if (stopRequested())
+        if (stopRequested()) {
+            runDuration_ = now_; // An evicted run ends at its last event.
             break;
+        }
         const SimEvent ev = queue_.top();
         queue_.pop();
         if (ev.time > duration)
@@ -220,7 +216,7 @@ SimScheduler::run(Duration duration)
             scheduleArrival(ev.task, ev.time + task.plugin->period());
         }
     }
-    now_ = duration;
+    now_ = runDuration_;
     stopPlugins();
 }
 

@@ -39,7 +39,7 @@ namespace illixr {
 /**
  * The discrete-event scheduler.
  */
-class SimScheduler : public ExecutorBase
+class SimScheduler : public Executor
 {
   public:
     explicit SimScheduler(const PlatformModel &platform);
@@ -112,7 +112,7 @@ class SimScheduler : public ExecutorBase
         queue_;
     std::uint64_t seq_ = 0;
     TimePoint now_ = 0;
-    Duration runDuration_ = 0;
+    Duration runDuration_ = 0; ///< Virtual time the last run covered.
 
     std::vector<TimePoint> cpuFreeAt_;
     TimePoint gpuFreeAt_ = 0;

@@ -580,7 +580,7 @@ Session::runBody()
             PlatformModel::get(config.platform);
         std::unique_ptr<SimScheduler> sim;
         std::unique_ptr<PoolExecutor> pool;
-        ExecutorBase *executor = nullptr;
+        Executor *executor = nullptr;
         if (config.executor == ExecutorKind::Pool) {
             PoolExecutorConfig pool_cfg;
             pool_cfg.workers = config.pool_workers;

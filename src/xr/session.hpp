@@ -43,7 +43,7 @@
 
 namespace illixr {
 
-class ExecutorBase;
+class Executor;
 class Plugin;
 struct SystemTuning;
 
@@ -227,7 +227,7 @@ class Session
     // is read, and the body publishes the executor before re-checking
     // the flag, so a requestStop() can never fall between the two.
     std::mutex executor_mutex_;
-    ExecutorBase *executor_ = nullptr;
+    Executor *executor_ = nullptr;
     bool stop_requested_ = false;
 };
 

@@ -66,22 +66,32 @@ class JournalPlugin : public Plugin
     std::mutex *mutex_;
 };
 
-/** Counting plugin (no shared state beyond an atomic). */
+/** Counting plugin (no shared state beyond an atomic); optionally
+ *  busy-spins @p busy_us of host time per call. */
 class CountPlugin : public Plugin
 {
   public:
-    CountPlugin(std::string name, Duration period)
-        : Plugin(std::move(name)), period_(period)
+    CountPlugin(std::string name, Duration period, double busy_us = 0.0)
+        : Plugin(std::move(name)), period_(period), busy_us_(busy_us)
     {
     }
 
-    void iterate(TimePoint) override { count.fetch_add(1); }
+    void
+    iterate(TimePoint) override
+    {
+        count.fetch_add(1);
+        const double deadline = hostTimeSeconds() + busy_us_ * 1e-6;
+        while (hostTimeSeconds() < deadline) {
+        }
+    }
+
     Duration period() const override { return period_; }
 
     std::atomic<int> count{0};
 
   private:
     Duration period_;
+    double busy_us_;
 };
 
 /** Publishes to a topic every iteration (stress producer). */
@@ -194,6 +204,72 @@ TEST(PoolExecutorTest, StartStopIdempotentAndPrompt)
     // Workers were parked until t+10s; stop must not wait for that.
     EXPECT_LT(stop_ms, 2000);
     EXPECT_GE(slow.count.load(), 1); // The t=0 release ran.
+}
+
+TEST(PoolExecutorTest, StopUnderLoadFreezesCounters)
+{
+    // stop() lands while busy plugins are mid-invocation and another
+    // is parked 10 s into the future: it must still return promptly,
+    // and a stopped pool must stay stopped.
+    CountPlugin parked("parked", 10 * kSecond);
+    CountPlugin busy_a("busy_a", kMillisecond, 200.0);
+    CountPlugin busy_b("busy_b", kMillisecond, 200.0);
+    PoolExecutorConfig cfg;
+    cfg.workers = 2;
+    PoolExecutor pool(cfg);
+    pool.addPlugin(&parked, PipelineLane::Audio);
+    pool.addPlugin(&busy_a, PipelineLane::Perception);
+    pool.addPlugin(&busy_b, PipelineLane::Visual);
+    pool.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.stop();
+    const auto stop_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    EXPECT_LT(stop_ms, 2000);
+    EXPECT_GE(pool.iterations("parked"), 1u); // The t=0 release ran.
+    EXPECT_GE(pool.iterations("busy_a"), 1u);
+    EXPECT_GE(pool.iterations("busy_b"), 1u);
+
+    // Stopped means stopped: counters do not advance afterwards.
+    const std::size_t after_a = pool.iterations("busy_a");
+    const std::size_t after_b = pool.iterations("busy_b");
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(pool.iterations("busy_a"), after_a);
+    EXPECT_EQ(pool.iterations("busy_b"), after_b);
+    // The stats of a finished live run mirror the live counters.
+    for (const std::string &name : pool.taskNames())
+        EXPECT_EQ(pool.stats(name).invocations, pool.iterations(name))
+            << name;
+}
+
+TEST(PoolExecutorTest, EvictedLiveRunUtilizationCoversElapsedTime)
+{
+    // One worker ~70% busy, asked for 10 s, evicted after ~100 ms:
+    // utilization is busy time over the ~100 ms the run covered, not
+    // over the 10 s it was asked for (which would read ~0.007).
+    CountPlugin busy("busy", kMillisecond, 700.0);
+    PoolExecutorConfig cfg;
+    cfg.workers = 1;
+    PoolExecutor pool(cfg);
+    pool.addPlugin(&busy, PipelineLane::Perception);
+    std::thread evictor([&pool] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        pool.requestStop();
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.run(10 * kSecond);
+    const auto run_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    evictor.join();
+    EXPECT_LT(run_ms, 5000);
+    EXPECT_GT(pool.stats("busy").invocations, 0u);
+    EXPECT_GT(pool.cpuUtilization(), 0.2);
+    EXPECT_LE(pool.cpuUtilization(), 1.0);
 }
 
 TEST(PoolExecutorTest, PriorityLaneOrderingOnContention)

@@ -3,22 +3,19 @@
  * Unit tests for the runtime core: phonebook, switchboard semantics
  * (sync vs async reads), plugin registry, the discrete-event
  * scheduler (periodicity, skip-on-overrun, contention, vsync
- * alignment), and the real-threaded executor.
+ * alignment), and the lifecycle both executors share.
  */
 
 #include "foundation/profile.hpp"
 #include "runtime/phonebook.hpp"
 #include "runtime/plugin.hpp"
-#include "runtime/rt_executor.hpp"
+#include "runtime/pool_executor.hpp"
 #include "runtime/sim_scheduler.hpp"
 #include "runtime/switchboard.hpp"
 #include "trace/metrics_registry.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <type_traits>
 
 namespace illixr {
@@ -276,6 +273,63 @@ TEST(SimSchedulerTest, CpuUtilizationAccounting)
     EXPECT_NEAR(sched.cpuUtilization(), 1.0 / 120.0, 0.5 / 120.0);
 }
 
+/** Evicts its executor from inside the run once @p at is reached. */
+class EvictingPlugin : public Plugin
+{
+  public:
+    EvictingPlugin(Executor *executor, TimePoint at)
+        : Plugin("evictor"), executor_(executor), at_(at)
+    {
+    }
+
+    void
+    iterate(TimePoint now) override
+    {
+        if (now >= at_)
+            executor_->requestStop();
+    }
+
+    Duration period() const override { return 10 * kMillisecond; }
+
+  private:
+    Executor *executor_;
+    TimePoint at_;
+};
+
+TEST(ExecutorLifecycleTest, EvictedVirtualRunsCoverTheirLastEvent)
+{
+    // Evicted at virtual 100 ms of a 10 s run: utilization is busy
+    // time over the 100 ms the run covered, not over 10 s.
+    const double covered_s = toSeconds(100 * kMillisecond);
+
+    BurnPlugin g("g", 10 * kMillisecond, 500.0, ExecUnit::GpuGraphics);
+    SimScheduler sched(PlatformModel::get(PlatformId::Desktop));
+    EvictingPlugin sim_evictor(&sched, 100 * kMillisecond);
+    sched.addPlugin(&g);
+    sched.addPlugin(&sim_evictor);
+    sched.run(10 * kSecond);
+    EXPECT_EQ(sched.now(), 100 * kMillisecond);
+    EXPECT_GT(sched.stats("g").busy, 0);
+    EXPECT_DOUBLE_EQ(sched.gpuUtilization(),
+                     toSeconds(sched.stats("g").busy) / covered_s);
+
+    // Two workers let the evictor run at its arrival, beside "c".
+    PoolExecutorConfig cfg;
+    cfg.workers = 2;
+    cfg.deterministic = true;
+    PoolExecutor pool(cfg);
+    BurnPlugin c("c", 10 * kMillisecond, 0.0);
+    EvictingPlugin pool_evictor(&pool, 100 * kMillisecond);
+    pool.addPlugin(&c);
+    pool.addPlugin(&pool_evictor);
+    pool.run(10 * kSecond);
+    const Duration busy =
+        pool.stats("c").busy + pool.stats("evictor").busy;
+    EXPECT_GT(busy, 0);
+    EXPECT_DOUBLE_EQ(pool.cpuUtilization(),
+                     toSeconds(busy) / (covered_s * 2.0));
+}
+
 TEST(SimSchedulerTest, VsyncAlignedTaskTargetsVsync)
 {
     BurnPlugin warp("warp", 0, 500.0, ExecUnit::GpuGraphics);
@@ -295,57 +349,6 @@ TEST(SimSchedulerTest, VsyncAlignedTaskTargetsVsync)
             ++on_time;
     }
     EXPECT_GT(on_time, (stats.records.size() - 5) * 3 / 4);
-}
-
-TEST(RtExecutorTest, RunsPluginsLive)
-{
-    BurnPlugin fast("fast", 5 * kMillisecond, 10.0);
-    RtExecutor exec;
-    exec.addPlugin(&fast);
-    exec.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    exec.stop();
-    // ~24 iterations expected; allow generous slack for CI noise.
-    EXPECT_GE(exec.iterations("fast"), 8u);
-    EXPECT_LE(exec.iterations("fast"), 40u);
-    // The Executor-interface stats mirror the iteration counter.
-    EXPECT_EQ(exec.stats("fast").invocations, exec.iterations("fast"));
-    EXPECT_EQ(exec.taskNames().size(), 1u);
-    EXPECT_STREQ(exec.timeline(), "wall");
-}
-
-TEST(RtExecutorTest, StopCompletesPromptlyUnderLoad)
-{
-    // Regression: stop() used to let each plugin thread sleep out the
-    // remainder of its period before observing the flag, so a plugin
-    // with a long period stalled shutdown for up to that period (and
-    // a stop() racing a thread between its flag check and its sleep
-    // could miss the wakeup entirely). With the condition-variable
-    // handshake, stop() must return promptly even when one thread is
-    // parked 10 s into the future and others are busy iterating.
-    BurnPlugin parked("parked", 10 * kSecond, 1.0);
-    BurnPlugin busy_a("busy_a", kMillisecond, 200.0);
-    BurnPlugin busy_b("busy_b", kMillisecond, 200.0);
-    RtExecutor exec;
-    exec.addPlugin(&parked);
-    exec.addPlugin(&busy_a);
-    exec.addPlugin(&busy_b);
-    exec.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    const auto t0 = std::chrono::steady_clock::now();
-    exec.stop();
-    const auto stop_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    // Far below the parked plugin's 10 s period; generous for CI.
-    EXPECT_LT(stop_ms, 2000);
-    EXPECT_GE(exec.iterations("parked"), 1u); // The t=0 release ran.
-    EXPECT_GE(exec.iterations("busy_a"), 1u);
-    // Stopped means stopped: counters do not advance afterwards.
-    const std::size_t after = exec.iterations("busy_a");
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    EXPECT_EQ(exec.iterations("busy_a"), after);
 }
 
 TEST(SwitchboardTest, TypedHandlesRoundTrip)
@@ -566,33 +569,6 @@ TEST(ExecutorLifecycleTest, SimSchedulerStartsAndStopsPlugins)
     EXPECT_EQ(journal[1], "b:start");
     EXPECT_EQ(journal[journal.size() - 2], "b:stop");
     EXPECT_EQ(journal.back(), "a:stop");
-}
-
-TEST(ExecutorLifecycleTest, RtExecutorRunIsStartSleepStop)
-{
-    std::vector<std::string> journal;
-    LifecyclePlugin a("a", &journal);
-    RtExecutor exec;
-    Executor &iface = exec; // The common interface drives both.
-    iface.addPlugin(&a);
-    iface.run(50 * kMillisecond);
-    ASSERT_GE(journal.size(), 3u);
-    EXPECT_EQ(journal.front(), "a:start");
-    EXPECT_EQ(journal[1], "a:first_iterate");
-    EXPECT_EQ(journal.back(), "a:stop");
-}
-
-TEST(ExecutorLifecycleTest, VsyncFallbackOnExecutorInterface)
-{
-    // Through the base interface, executors without late-latch
-    // scheduling treat vsync-aligned plugins as plain periodic.
-    std::vector<std::string> journal;
-    LifecyclePlugin a("a", &journal);
-    RtExecutor exec;
-    Executor &iface = exec;
-    iface.addVsyncAlignedPlugin(&a, periodFromHz(120.0));
-    iface.run(50 * kMillisecond);
-    EXPECT_GE(exec.iterations("a"), 1u);
 }
 
 } // namespace
