@@ -29,7 +29,7 @@ paths' speedup targets against the pre-SIMD baseline.
 ratio: CURRENT[KEY] must be <= VALUE in every pair where KEY resolves
 (exact name or unique suffix, CURRENT side), and KEY must resolve in
 at least one pair. Ratio gates silently absorb a slowly creeping tail
-as long as each step stays under the threshold; the CI tail leg uses
+as long as each step stays under the threshold; the CI tail gate uses
 --require-max to pin p99.9 latencies to fixed budgets instead.
 
 --self-test runs the built-in unit checks (resolution rules, ratio
@@ -212,12 +212,12 @@ def self_test() -> int:
             failed.append(name)
 
     names = {"BM_CnnForward", "avx2.BM_CnnForward",
-             "NotGsIteration64", "sse2.BM_GsIteration64"}
+             "NotGsIteration64", "scalar.BM_GsIteration64"}
     check("resolve exact",
           resolve_kernel("BM_CnnForward", names) == ["BM_CnnForward"])
     check("resolve suffix",
           resolve_kernel("GsIteration64", names) ==
-          ["sse2.BM_GsIteration64"])
+          ["scalar.BM_GsIteration64"])
     check("resolve boundary rejects mid-word",
           "NotGsIteration64" not in
           resolve_kernel("GsIteration64", names))

@@ -155,6 +155,14 @@ class Executor
     /** "virtual" or "wall": which timeline the timestamps are on. */
     virtual const char *timeline() const = 0;
 
+    /**
+     * Time the last run() covered, on timeline(): the requested
+     * duration, or less when requestStop() cut the run short (a
+     * virtual run ends at its last processed event, a live run at its
+     * last joined invocation). 0 before any run.
+     */
+    Duration runDuration() const { return runDuration_; }
+
     /** Attach the span/lineage sink (nullptr disables tracing). */
     void
     setTraceSink(std::shared_ptr<TraceSink> sink)
@@ -244,6 +252,7 @@ class Executor
     const Phonebook *phonebook_ = nullptr;
     InvocationInterceptor *interceptor_ = nullptr;
     std::atomic<bool> stop_requested_{false};
+    Duration runDuration_ = 0; ///< Set by run(); see runDuration().
 
   private:
     std::vector<Plugin *> lifecycle_;

@@ -235,7 +235,6 @@ class PoolExecutor : public Executor
     std::mutex simWakeupMutex_;
     std::vector<std::size_t> simWakeups_;
 
-    Duration runDuration_ = 0; ///< Time the last run covered.
     Duration busyCpu_ = 0;
     Duration busyGpu_ = 0;
 

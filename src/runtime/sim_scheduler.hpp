@@ -112,7 +112,6 @@ class SimScheduler : public Executor
         queue_;
     std::uint64_t seq_ = 0;
     TimePoint now_ = 0;
-    Duration runDuration_ = 0; ///< Virtual time the last run covered.
 
     std::vector<TimePoint> cpuFreeAt_;
     TimePoint gpuFreeAt_ = 0;

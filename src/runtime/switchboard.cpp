@@ -178,15 +178,6 @@ Switchboard::attachSyncReader(const TopicPtr &t, std::size_t capacity)
     return reader;
 }
 
-std::size_t
-Switchboard::effectiveCapacity(std::size_t requested) const
-{
-    if (requested != 0)
-        return requested;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return default_ring_capacity_;
-}
-
 void
 Switchboard::publishToTopic(const TopicPtr &t, EventPtr event)
 {
@@ -379,13 +370,6 @@ Switchboard::wireTopicMetricsLocked(TopicState &t) const
 void
 Switchboard::flushMetrics()
 {
-}
-
-void
-Switchboard::setDefaultRingCapacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    default_ring_capacity_ = capacity == 0 ? 1024 : capacity;
 }
 
 void

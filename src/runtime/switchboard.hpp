@@ -362,17 +362,22 @@ class Switchboard
         return AsyncReader<T>(topicFor(topic, typeid(T)));
     }
 
+    /** SyncReader ring capacity of reader() calls with capacity 0. */
+    static constexpr std::size_t kDefaultRingCapacity = 1024;
+
     /**
      * Create a typed every-event reader on @p topic. @p capacity 0
-     * uses the switchboard default (1024 unless reconfigured); other
-     * values round up to a power of two.
+     * uses kDefaultRingCapacity; other values round up to a power of
+     * two.
      */
     template <typename T>
     Reader<T>
     reader(const std::string &topic, std::size_t capacity = 0)
     {
         TopicPtr t = topicFor(topic, typeid(T));
-        return Reader<T>(t, attachSyncReader(t, effectiveCapacity(capacity)));
+        return Reader<T>(
+            t, attachSyncReader(t, capacity == 0 ? kDefaultRingCapacity
+                                                 : capacity));
     }
 
     // ---- introspection / wiring ----
@@ -410,14 +415,6 @@ class Switchboard
      * nullptr detaches.
      */
     void setPublishHook(PublishHookHandle hook);
-
-    /**
-     * Default SyncReader ring capacity used when reader()/subscribe()
-     * are called with capacity 0 (initially 1024; rounded up to a
-     * power of two). `ILLIXR_SB_RING_CAP` reaches here through
-     * IntegratedConfig.
-     */
-    void setDefaultRingCapacity(std::size_t capacity);
 
     /**
      * Publish attempts ever made on a topic, including ones a hook
@@ -462,8 +459,6 @@ class Switchboard
                               std::shared_ptr<const T>(std::move(event))));
     }
 
-    std::size_t effectiveCapacity(std::size_t requested) const;
-
     /** Resolve per-topic counters from the attached registry. */
     void wireTopicMetricsLocked(TopicState &t) const;
 
@@ -473,7 +468,6 @@ class Switchboard
     std::shared_ptr<TraceSink> sink_;
     PublishHookHandle hook_;
     MetricsRegistry *metrics_ = nullptr;
-    std::size_t default_ring_capacity_ = 1024;
 };
 
 /** Convenience: make a shared event of type T without a writer

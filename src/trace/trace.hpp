@@ -138,7 +138,8 @@ struct TailBreakdown;
  * run. Append-only by default; setRetention() turns it into a ring
  * (bounded memory for 10^5+-frame runs) where old spans/events are
  * evicted FIFO — pair it with a TailMonitor, which *materializes*
- * outlier lineage at frame-publish time, before eviction can drop it.
+ * outlier lineage at frame-publish time, from the spans and events the
+ * ring still holds (older ancestors may already be evicted).
  */
 class TraceSink
 {

@@ -8,9 +8,9 @@ double
 IntegratedResult::achievedHz(const std::string &name) const
 {
     auto it = tasks.find(name);
-    if (it == tasks.end() || config.duration <= 0)
+    if (it == tasks.end() || run_duration <= 0)
         return 0.0;
-    return it->second.achievedHz(config.duration);
+    return it->second.achievedHz(run_duration);
 }
 
 bool

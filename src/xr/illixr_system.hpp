@@ -69,8 +69,11 @@ struct TailOptions
     /** Frames slower end-to-end than this are captured as outliers. */
     double threshold_ms = 50.0;
     /** TraceSink ring size (spans/events/skips each); 0 = unbounded.
-     *  Outlier lineage is materialized before eviction, so a small
-     *  ring loses no attribution. */
+     *  A frame is attributed when it is published, over the part of
+     *  its lineage the ring still holds: a small ring truncates long
+     *  lineages and evicts spans the walk needs, so the tail.* numbers
+     *  depend on the ring size (tail_bench chaos, seed 1: e2e_p99 3320
+     *  ms at 4096, 38272 ms unbounded). */
     std::size_t ring = 0;
     /** Cap on retained outlier breakdowns (FIFO beyond it). */
     std::size_t max_outliers = 65536;
@@ -102,9 +105,6 @@ struct IntegratedConfig
     std::size_t kernel_threads = 0;
     /** Pool only: virtual-clock replay; byte-reproducible per seed. */
     bool deterministic = false;
-    /** Default Switchboard SyncReader ring capacity (events; rounded
-     *  up to a power of two). 0 = switchboard default (1024). */
-    std::size_t sb_ring_capacity = 0;
     /** Fault injection / supervision / degradation (off by default). */
     ResilienceConfig resilience;
     /**
@@ -126,6 +126,9 @@ struct IntegratedResult
 {
     IntegratedConfig config;
     Duration vsync = 0;
+    /** Time the run covered (Executor::runDuration()): shorter than
+     *  config.duration when the Session was evicted. */
+    Duration run_duration = 0;
 
     /** Per-component scheduler statistics, by plugin name. */
     std::map<std::string, TaskStats> tasks;
@@ -164,7 +167,7 @@ struct IntegratedResult
     /** Extra scenario-specific metrics (e.g., offload round-trip). */
     std::map<std::string, double> extra;
 
-    /** Achieved rate of a component over the run. */
+    /** Achieved rate of a component over the time the run covered. */
     double achievedHz(const std::string &name) const;
 };
 

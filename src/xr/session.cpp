@@ -90,12 +90,6 @@ SessionConfig::applyEnv()
             return false;
         }
     }
-    if (const char *v = std::getenv("ILLIXR_SB_RING_CAP")) {
-        unsigned long n = 0;
-        if (!parseUnsigned(v, n) || n == 0)
-            return false;
-        sb_ring_capacity = n;
-    }
     if (const char *v = std::getenv("ILLIXR_EDGE"))
         edge.enabled = std::string(v) != "0";
     if (const char *v = std::getenv("ILLIXR_EDGE_LINK")) {
@@ -181,13 +175,6 @@ SessionConfig::parseFlag(const std::string &arg)
     if (arg == "--resilience") {
         resilience.supervise = true;
         resilience.degrade = true;
-        return true;
-    }
-    if (value("--sb-ring-cap=", v)) {
-        unsigned long n = 0;
-        if (!parseUnsigned(v, n) || n == 0)
-            return false;
-        sb_ring_capacity = n;
         return true;
     }
     if (arg == "--edge") {
@@ -287,10 +274,10 @@ SessionConfig::fromEnvAndArgs(int argc, const char *const *argv)
         // an "unparsed" passthrough: --seed=banana must not leak into
         // the tool's own flag handling looking legitimate.
         static const char *const kOwned[] = {
-            "--executor=",    "--workers=",    "--kernel-threads=",
-            "--seed=",        "--fault-plan=", "--scenario=",
-            "--sb-ring-cap=", "--edge-link=",  "--edge-slo-ms=",
-            "--edge-batch=",  "--tail-threshold-ms=", "--tail-ring="};
+            "--executor=",   "--workers=",     "--kernel-threads=",
+            "--seed=",       "--fault-plan=",  "--scenario=",
+            "--edge-link=",  "--edge-slo-ms=", "--edge-batch=",
+            "--tail-threshold-ms=",            "--tail-ring="};
         bool owned = false;
         for (const char *prefix : kOwned)
             owned = owned || arg.rfind(prefix, 0) == 0;
@@ -498,8 +485,6 @@ Session::runBody()
         // --- Services ---
         Phonebook phonebook;
         auto switchboard = std::make_shared<Switchboard>();
-        if (config.sb_ring_capacity > 0)
-            switchboard->setDefaultRingCapacity(config.sb_ring_capacity);
         phonebook.registerService(switchboard);
 
         auto metrics = std::make_shared<MetricsRegistry>();
@@ -641,6 +626,7 @@ Session::runBody()
         IntegratedResult result;
         result.config = config;
         result.vsync = vsync;
+        result.run_duration = executor->runDuration();
         double total_host = 0.0;
         for (const std::string &name : executor->taskNames()) {
             const TaskStats &stats = executor->stats(name);

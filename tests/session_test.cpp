@@ -8,12 +8,14 @@
  */
 
 #include "xr/illixr_system.hpp"
+#include "xr/plugins.hpp"
 #include "xr/session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -132,6 +134,53 @@ TEST(SessionTest, StopMidRunYieldsPartialResult)
     ASSERT_NE(it, r.tasks.end());
     // 30 s at the 120 Hz display target would be ~3600 frames.
     EXPECT_LT(it->second.invocations, 3000u);
+}
+
+/** VIO that stops its own Session once it runs at or past @p at. */
+class StoppingVio : public VioPlugin
+{
+  public:
+    StoppingVio(const Phonebook &pb, const SystemTuning &tuning,
+                Session *session, TimePoint at)
+        : VioPlugin(pb, tuning), session_(session), at_(at)
+    {
+    }
+
+    void
+    iterate(TimePoint now) override
+    {
+        VioPlugin::iterate(now);
+        if (now >= at_)
+            session_->requestStop();
+    }
+
+  private:
+    Session *session_;
+    TimePoint at_;
+};
+
+TEST(SessionTest, EvictedSessionRatesUseTheCoveredTime)
+{
+    // A 10 s deterministic session evicted at virtual 2 s: its rates
+    // are invocations over the ~2 s it covered, not over 10 s. Four
+    // workers: the modeled costs (period/4 per periodic invocation)
+    // saturate two (timewarp ~86 Hz), while four hold target rates.
+    Session *self = nullptr;
+    SessionConfig cfg = quickConfig("evicted", 11, 10 * kSecond);
+    cfg.pool_workers = 4;
+    // The factory runs inside start(), after `self` is set.
+    cfg.vio_factory = [&self](const Phonebook &pb,
+                              const SystemTuning &tuning) {
+        return std::make_unique<StoppingVio>(pb, tuning, self,
+                                             2 * kSecond);
+    };
+    Session session{std::move(cfg)};
+    self = &session;
+    session.start();
+    const IntegratedResult &r = session.result();
+    EXPECT_GE(r.run_duration, 2 * kSecond);
+    EXPECT_LT(r.run_duration, 3 * kSecond);
+    EXPECT_NEAR(r.achievedHz("timewarp"), 120.0, 6.0);
 }
 
 TEST(SessionTest, DestructorStopsARunningSession)
