@@ -35,6 +35,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -188,6 +189,25 @@ vmax(VecRef<T, W> a, VecRef<T, W> b)
 {
     for (std::size_t i = 0; i < W; ++i)
         a.lane[i] = a.lane[i] > b.lane[i] ? a.lane[i] : b.lane[i];
+    return a;
+}
+
+/** Round down / up to an integral value per lane (exact). */
+template <typename T, std::size_t W>
+inline VecRef<T, W>
+vfloor(VecRef<T, W> a)
+{
+    for (std::size_t i = 0; i < W; ++i)
+        a.lane[i] = std::floor(a.lane[i]);
+    return a;
+}
+
+template <typename T, std::size_t W>
+inline VecRef<T, W>
+vceil(VecRef<T, W> a)
+{
+    for (std::size_t i = 0; i < W; ++i)
+        a.lane[i] = std::ceil(a.lane[i]);
     return a;
 }
 
@@ -373,6 +393,13 @@ narrowStore4(VecRef<double, 4> v, float *p)
     p[1] = static_cast<float>(v.lane[1]);
     p[2] = static_cast<float>(v.lane[2]);
     p[3] = static_cast<float>(v.lane[3]);
+}
+
+/** The lanes {l0, l1, l2, l3} (a gather of 4 scalars). */
+inline VecRef<double, 4>
+setLanes(double l0, double l1, double l2, double l3, VecRef<double, 4> *)
+{
+    return {l0, l1, l2, l3};
 }
 
 #if !defined(ILLIXR_SIMD_BACKEND_AVX2)
@@ -601,6 +628,18 @@ vmax(Vec<double, 4> a, Vec<double, 4> b)
 }
 
 inline Vec<double, 4>
+vfloor(Vec<double, 4> a)
+{
+    return {_mm256_floor_pd(a.v)};
+}
+
+inline Vec<double, 4>
+vceil(Vec<double, 4> a)
+{
+    return {_mm256_ceil_pd(a.v)};
+}
+
+inline Vec<double, 4>
 madd(Vec<double, 4> acc, Vec<double, 4> a, Vec<double, 4> b)
 {
     return acc + a * b;
@@ -707,6 +746,12 @@ narrowStore4(Vec<double, 4> v, float *p)
     _mm_storeu_ps(p, _mm256_cvtpd_ps(v.v));
 }
 
+inline Vec<double, 4>
+setLanes(double l0, double l1, double l2, double l3, Vec<double, 4> *)
+{
+    return {_mm256_setr_pd(l0, l1, l2, l3)};
+}
+
 #endif // backend
 
 /** The fixed algorithmic widths used by the kernels. */
@@ -718,6 +763,13 @@ inline VecD4
 widenLoad(const float *p)
 {
     return widenLoad4(p, static_cast<VecD4 *>(nullptr));
+}
+
+/** setLanes without spelling the tag-dispatch pointer. */
+inline VecD4
+setLanes(double l0, double l1, double l2, double l3)
+{
+    return setLanes(l0, l1, l2, l3, static_cast<VecD4 *>(nullptr));
 }
 
 /**

@@ -153,9 +153,9 @@ class Rasterizer
     struct SetupTriangle
     {
         std::uint32_t ia, ib, ic;
-        double ax, ay, bx, by, cx, cy;
         double inv_area;
-        int x0, x1, y0, y1; ///< Clamped bounding box.
+        int x0, x1, y0, y1; ///< Pixel box: centre clip, else bounding.
+        bool tall;          ///< Walk columns: the box is taller than wide.
     };
 
     RgbImage color_;
@@ -166,7 +166,7 @@ class Rasterizer
     // Sized like LitMesh::pos_x: padding lanes are projected too.
     std::vector<ProjectedVertex> projected_;
     std::vector<char> valid_; ///< clip w > 1e-6 (char: tiles write bytes).
-    std::vector<SetupTriangle> tris_;
+    std::vector<SetupTriangle> tris_; ///< Set-up prefix + spare lanes.
     std::vector<std::vector<std::uint32_t>> bins_; ///< Per band.
 };
 

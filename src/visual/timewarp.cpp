@@ -16,6 +16,9 @@ constexpr double kInvalidUv = -1e9;
 /** Most images one warp pass samples (both eyes). */
 constexpr std::size_t kMaxEyes = 2;
 
+/** Output rows per warp tile. */
+constexpr std::size_t kWarpRows = 8;
+
 } // namespace
 
 Vec2
@@ -165,39 +168,68 @@ Timewarp::warp(std::span<const RgbImage *const> src,
         }
 
         // Scanline blocks: output rows are independent (reads only
-        // touch the mesh and the rendered frames).
-        parallelFor("timewarp", 0, static_cast<std::size_t>(h), 8,
+        // touch the mesh and the rendered frames). Within a block, each
+        // mesh cell row's x-interpolated top and bottom UVs per channel
+        // are built once, and each of its output rows only blends them
+        // (the same operations as the per-pixel four-node blend). Tiles
+        // are a pure function of (h, kWarpRows), so each owns one slice
+        // of the buffers.
+        const std::size_t n = static_cast<std::size_t>(w);
+        const std::size_t blocks =
+            (static_cast<std::size_t>(h) + kWarpRows - 1) / kWarpRows;
+        cellRowUv_.resize(blocks * 6 * n);
+        cellRowOk_.resize(blocks * n);
+        parallelFor("timewarp", 0, static_cast<std::size_t>(h), kWarpRows,
                     [&](std::size_t yb, std::size_t ye) {
+        // This block's slice of the cell-row buffers.
+        const std::size_t block = yb / kWarpRows;
+        Vec2 *top[3], *bot[3];
+        for (int ch = 0; ch < 3; ++ch) {
+            top[ch] = &cellRowUv_[(block * 6 + 2 * ch) * n];
+            bot[ch] = top[ch] + n;
+        }
+        // Columns whose four cell nodes are valid in every channel.
+        char *cell_ok = &cellRowOk_[block * n];
+        int built_row = -1;
         for (int y = static_cast<int>(yb); y < static_cast<int>(ye);
              ++y) {
             const double gy = (y + 0.5) / cell_h;
             const int r0 = std::min(static_cast<int>(gy),
                                     params_.mesh_rows - 1);
             const double fy = gy - r0;
-            const std::size_t row0 = static_cast<std::size_t>(r0) * cols;
-            const std::size_t row1 = row0 + cols;
+            if (r0 != built_row) {
+                built_row = r0;
+                const std::size_t row0 =
+                    static_cast<std::size_t>(r0) * cols;
+                const std::size_t row1 = row0 + cols;
+                for (std::size_t x = 0; x < n; ++x) {
+                    const std::size_t c0 = col_cell[x];
+                    const double fx = col_fx[x];
+                    bool ok = true;
+                    for (int ch = 0; ch < 3; ++ch) {
+                        const std::vector<Vec2> &mesh = meshUv_[ch];
+                        const Vec2 &uv00 = mesh[row0 + c0];
+                        const Vec2 &uv01 = mesh[row0 + c0 + 1];
+                        const Vec2 &uv10 = mesh[row1 + c0];
+                        const Vec2 &uv11 = mesh[row1 + c0 + 1];
+                        ok = ok && !(uv00.x <= kInvalidUv / 2 ||
+                                     uv01.x <= kInvalidUv / 2 ||
+                                     uv10.x <= kInvalidUv / 2 ||
+                                     uv11.x <= kInvalidUv / 2);
+                        top[ch][x] = uv00 * (1.0 - fx) + uv01 * fx;
+                        bot[ch][x] = uv10 * (1.0 - fx) + uv11 * fx;
+                    }
+                    cell_ok[x] = ok;
+                }
+            }
             for (int x = 0; x < w; ++x) {
-                const std::size_t c0 = col_cell[x];
-                const double fx = col_fx[x];
-
+                if (!cell_ok[x])
+                    continue;
                 float rgb[kMaxEyes][3];
                 bool ok = true;
                 for (int ch = 0; ch < 3; ++ch) {
-                    const std::vector<Vec2> &mesh = meshUv_[ch];
-                    const Vec2 &uv00 = mesh[row0 + c0];
-                    const Vec2 &uv01 = mesh[row0 + c0 + 1];
-                    const Vec2 &uv10 = mesh[row1 + c0];
-                    const Vec2 &uv11 = mesh[row1 + c0 + 1];
-                    if (uv00.x <= kInvalidUv / 2 ||
-                        uv01.x <= kInvalidUv / 2 ||
-                        uv10.x <= kInvalidUv / 2 ||
-                        uv11.x <= kInvalidUv / 2) {
-                        ok = false;
-                        break;
-                    }
-                    const Vec2 top = uv00 * (1.0 - fx) + uv01 * fx;
-                    const Vec2 bot = uv10 * (1.0 - fx) + uv11 * fx;
-                    const Vec2 uv = top * (1.0 - fy) + bot * fy;
+                    const Vec2 uv =
+                        top[ch][x] * (1.0 - fy) + bot[ch][x] * fy;
                     if (uv.x < -0.5 || uv.y < -0.5 || uv.x > w - 0.5 ||
                         uv.y > h - 0.5) {
                         ok = false;

@@ -110,6 +110,11 @@ class Timewarp
 
     // Mesh buffers: (mesh_rows+1) x (mesh_cols+1) UVs per channel.
     std::vector<Vec2> meshUv_[3];
+
+    // Per warp row block: one mesh cell row's x-interpolated top and
+    // bottom UVs (3 channels x 2 x width) and per-column validity.
+    std::vector<Vec2> cellRowUv_;
+    std::vector<char> cellRowOk_;
 };
 
 /** Barrel distortion of normalized coordinates (r in [0, ~1.5]). */

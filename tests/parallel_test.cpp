@@ -698,34 +698,47 @@ TEST(KernelEquivalence, BinauralFir)
 TEST(KernelEquivalence, RasterizerTiles)
 {
     // Several frames per app, so later frames take the cached-lighting
-    // path (static objects reused, moving ones relit).
-    AppConfig cfg;
-    cfg.eye_width = 72;
-    cfg.eye_height = 72;
-    for (const AppId id : {AppId::ArDemo, AppId::Sponza, AppId::Materials}) {
-        expectWidthInvariant(
-            [&] {
-                XrApplication app(id, cfg);
-                std::vector<StereoFrame> frames;
-                for (int i = 0; i < 3; ++i) {
-                    const Pose head(
-                        Quat::fromAxisAngle(Vec3(0, 1, 0), 0.3 * i),
-                        Vec3(0.2 * i, 1.2, 0.5 * i));
-                    frames.push_back(app.renderFrame(head, 0.125 * (i + 1)));
-                }
-                return std::make_pair(frames, app.stats());
-            },
-            [](const auto &a, const auto &b) {
-                for (std::size_t i = 0; i < a.first.size(); ++i)
-                    if (!sameRgb(a.first[i].left, b.first[i].left) ||
-                        !sameRgb(a.first[i].right, b.first[i].right))
-                        return false;
-                const RasterStats &sa = a.second, &sb = b.second;
-                return sa.triangles_submitted == sb.triangles_submitted &&
-                       sa.triangles_rasterized == sb.triangles_rasterized &&
-                       sa.fragments_shaded == sb.fragments_shaded &&
-                       sa.draw_calls == sb.draw_calls;
-            });
+    // path (static objects reused, moving ones relit). Draws at 72 px
+    // are too small to launch and run inline; at 240 px the bands of
+    // the larger draws launch in parallel.
+    for (const int eye : {72, 240}) {
+        AppConfig cfg;
+        cfg.eye_width = eye;
+        cfg.eye_height = eye;
+        const std::uint64_t launches =
+            KernelPool::instance().parallelLaunches();
+        for (const AppId id :
+             {AppId::ArDemo, AppId::Sponza, AppId::Materials}) {
+            expectWidthInvariant(
+                [&] {
+                    XrApplication app(id, cfg);
+                    std::vector<StereoFrame> frames;
+                    for (int i = 0; i < 3; ++i) {
+                        const Pose head(
+                            Quat::fromAxisAngle(Vec3(0, 1, 0), 0.3 * i),
+                            Vec3(0.2 * i, 1.2, 0.5 * i));
+                        frames.push_back(
+                            app.renderFrame(head, 0.125 * (i + 1)));
+                    }
+                    return std::make_pair(frames, app.stats());
+                },
+                [](const auto &a, const auto &b) {
+                    for (std::size_t i = 0; i < a.first.size(); ++i)
+                        if (!sameRgb(a.first[i].left, b.first[i].left) ||
+                            !sameRgb(a.first[i].right, b.first[i].right))
+                            return false;
+                    const RasterStats &sa = a.second, &sb = b.second;
+                    return sa.triangles_submitted ==
+                               sb.triangles_submitted &&
+                           sa.triangles_rasterized ==
+                               sb.triangles_rasterized &&
+                           sa.fragments_shaded == sb.fragments_shaded &&
+                           sa.draw_calls == sb.draw_calls;
+                });
+        }
+        if (eye == 240) {
+            EXPECT_GT(KernelPool::instance().parallelLaunches(), launches);
+        }
     }
 }
 

@@ -415,6 +415,214 @@ sameImage(const RgbImage &a, const RgbImage &b)
            std::memcmp(a.b.data(), b.b.data(), n * sizeof(float)) == 0;
 }
 
+TEST(RasterizerTest, FarOffScreenVertexKeepsTheTriangle)
+{
+    // A vertex at w = 2e-6 projects to x ~ 3e9 px, beyond int's range:
+    // the pixel box clamps in double before converting, so the part of
+    // the triangle on screen is still rasterized.
+    const Mat4 proj = Mat4::perspective(1.2, 1.0, 0.1, 50.0);
+    for (const double x : {1.0, 100.0}) {
+        Mesh tri;
+        tri.vertices.resize(3);
+        tri.vertices[0].position = Vec3(x, 0, -2e-6);
+        tri.vertices[1].position = Vec3(-1, -1, -2);
+        tri.vertices[2].position = Vec3(1, -1, -2);
+        for (Vertex &v : tri.vertices)
+            v.normal = Vec3(0, 0, 1);
+        tri.indices = {0, 1, 2};
+        Rasterizer r(80, 80);
+        r.clear(Vec3(0, 0, 0));
+        r.draw(tri, Mat4::identity(), Mat4::identity(), proj,
+               DirectionalLight{});
+        EXPECT_EQ(r.stats().triangles_rasterized, 1u) << "x = " << x;
+    }
+}
+
+/**
+ * Test-local rasterizer: the bounding-box walk that tests every pixel
+ * centre of [floor(min), ceil(max)] on screen with the rasterizer's
+ * edge functions (same operations, same order) and shades it with the
+ * scalar Gouraud body. Screen coordinates come from identity model,
+ * view and projection matrices, for which the rasterizer's projection
+ * is sx = (x + 1) w / 2, sy = (1 - y) h / 2, z = z exactly.
+ */
+void
+referenceDraw(const Mesh &mesh, const LitMesh &lit, RgbImage &color,
+              ImageF &depth, RasterStats &stats)
+{
+    const int w = color.width();
+    const int h = color.height();
+    ++stats.draw_calls;
+    stats.triangles_submitted += mesh.triangleCount();
+    struct Screen
+    {
+        double sx, sy, z;
+    };
+    std::vector<Screen> v;
+    for (const Vertex &vert : mesh.vertices) {
+        // The projection's unfused 0 + m0 x + m1 y + m2 z + m3 rows.
+        const Vec3 &p = vert.position;
+        const double cx = 0.0 + 1.0 * p.x + 0.0 * p.y + 0.0 * p.z + 0.0;
+        const double cy = 0.0 + 0.0 * p.x + 1.0 * p.y + 0.0 * p.z + 0.0;
+        const double cz = 0.0 + 0.0 * p.x + 0.0 * p.y + 1.0 * p.z + 0.0;
+        v.push_back({(cx + 1.0) * (w / 2.0), (1.0 - cy) * (h / 2.0), cz});
+    }
+    for (std::size_t t = 0; t + 2 < mesh.indices.size(); t += 3) {
+        const std::uint32_t ia = mesh.indices[t];
+        const std::uint32_t ib = mesh.indices[t + 1];
+        const std::uint32_t ic = mesh.indices[t + 2];
+        const Screen &a = v[ia], &b = v[ib], &c = v[ic];
+        const double area = (c.sx - a.sx) * (b.sy - a.sy) -
+                            (c.sy - a.sy) * (b.sx - a.sx);
+        if (area <= 0.0)
+            continue;
+        const double x0 =
+            std::max(0.0, std::floor(std::min({a.sx, b.sx, c.sx})));
+        const double x1 =
+            std::min(w - 1.0, std::ceil(std::max({a.sx, b.sx, c.sx})));
+        const double y0 =
+            std::max(0.0, std::floor(std::min({a.sy, b.sy, c.sy})));
+        const double y1 =
+            std::min(h - 1.0, std::ceil(std::max({a.sy, b.sy, c.sy})));
+        if (x0 > x1 || y0 > y1)
+            continue;
+        ++stats.triangles_rasterized;
+        const double inv_area = 1.0 / area;
+        const double e0x = c.sx - b.sx, e0y = c.sy - b.sy;
+        const double e1x = a.sx - c.sx, e1y = a.sy - c.sy;
+        const double e2x = b.sx - a.sx, e2y = b.sy - a.sy;
+        for (int py = 0; py < h; ++py) {
+            for (int px = 0; px < w; ++px) {
+                const double sx = px + 0.5, sy = py + 0.5;
+                double w0 = (sx - b.sx) * e0y - (sy - b.sy) * e0x;
+                double w1 = (sx - c.sx) * e1y - (sy - c.sy) * e1x;
+                double w2 = (sx - a.sx) * e2y - (sy - a.sy) * e2x;
+                if (w0 < 0 || w1 < 0 || w2 < 0 || px < x0 || px > x1 ||
+                    py < y0 || py > y1)
+                    continue;
+                w0 *= inv_area;
+                w1 *= inv_area;
+                w2 *= inv_area;
+                const double z = w0 * a.z + w1 * b.z + w2 * c.z;
+                if (z < -1.0 || z > 1.0 || z >= depth.at(px, py))
+                    continue;
+                // inv_w is 1: the perspective weights are the w's.
+                const double wa = w0 * 1.0, wb = w1 * 1.0, wc = w2 * 1.0;
+                const double iw = wa + wb + wc;
+                const Vec3 rgb = lit.color[ia] * (wa / iw) +
+                                 lit.color[ib] * (wb / iw) +
+                                 lit.color[ic] * (wc / iw);
+                depth.at(px, py) = static_cast<float>(z);
+                color.setPixel(px, py,
+                               Vec3(std::clamp(rgb.x, 0.0, 1.0),
+                                    std::clamp(rgb.y, 0.0, 1.0),
+                                    std::clamp(rgb.z, 0.0, 1.0)));
+                ++stats.fragments_shaded;
+            }
+        }
+    }
+}
+
+TEST(RasterizerTest, PixelCentreClipMatchesFullFramebufferWalk)
+{
+    // Random, sliver, near-degenerate, on-centre and huge-coordinate
+    // triangles at odd sizes: colour, depth and RasterStats must match
+    // the bounding-box walk over the whole framebuffer bit for bit, so
+    // no pixel centre the clip skips could have been covered.
+    const int sizes[][2] = {{51, 51}, {37, 23}, {13, 61}, {32, 16},
+                            {80, 80}};
+    Rng rng(4242);
+    int cases = 0;
+    for (int scene = 0; scene < 300; ++scene) {
+        const int w = sizes[scene % 5][0];
+        const int h = sizes[scene % 5][1];
+        const auto screenVertex = [&](double sx, double sy) {
+            Vertex v;
+            v.position = Vec3(sx / (w / 2.0) - 1.0, 1.0 - sy / (h / 2.0),
+                              rng.uniform(-1.2, 1.2));
+            v.normal = randomDirection(rng);
+            v.color = Vec3(rng.uniform(), rng.uniform(), rng.uniform());
+            return v;
+        };
+        const auto point = [&](double margin) {
+            return Vec2(rng.uniform(-margin, w + margin),
+                        rng.uniform(-margin, h + margin));
+        };
+        Mesh mesh;
+        for (int t = 0; t < 30; ++t) {
+            Vec2 p[3];
+            switch (t % 5) {
+              case 0: // Random, partly off screen.
+                for (Vec2 &q : p)
+                    q = point(8.0);
+                break;
+              case 1: { // Sliver: c within 1e-9..1e-2 px of segment ab.
+                p[0] = point(2.0);
+                p[1] = point(2.0);
+                const double s = rng.uniform();
+                const Vec2 d = p[1] - p[0];
+                const double off =
+                    std::pow(10.0, rng.uniform(-9.0, -2.0)) *
+                    (rng.uniform() < 0.5 ? -1.0 : 1.0);
+                p[2] = p[0] + d * s +
+                       Vec2(-d.y, d.x) * (off / std::max(d.norm(), 1e-12));
+                break;
+              }
+              case 2: { // Near-degenerate: three almost coincident points.
+                const Vec2 c = point(1.0);
+                const double r = std::pow(10.0, rng.uniform(-8.0, 0.0));
+                for (Vec2 &q : p)
+                    q = c + Vec2(rng.uniform(-r, r), rng.uniform(-r, r));
+                break;
+              }
+              case 3: // On centres: vertices at exact pixel centres.
+                for (Vec2 &q : p)
+                    q = Vec2(static_cast<double>(rng.uniformInt(w)) + 0.5,
+                             static_cast<double>(rng.uniformInt(h)) + 0.5);
+                break;
+              default: { // Huge coordinates: one or more far away.
+                for (Vec2 &q : p)
+                    q = point(2.0);
+                const double far = std::pow(10.0, rng.uniform(6.0, 12.0));
+                p[rng.uniformInt(3)] = Vec2(rng.uniform(-far, far),
+                                            rng.uniform(-far, far));
+                break;
+              }
+            }
+            for (const Vec2 &q : p) {
+                mesh.indices.push_back(
+                    static_cast<std::uint32_t>(mesh.vertices.size()));
+                mesh.vertices.push_back(screenVertex(q.x, q.y));
+            }
+            ++cases;
+        }
+        LitMesh lit;
+        lightMesh(mesh, Mat4::identity(), DirectionalLight{},
+                  ShadingModel::Gouraud, lit);
+        Rasterizer r(w, h);
+        r.clear(Vec3(0.1, 0.2, 0.3));
+        r.draw(mesh, lit, Mat4::identity(), Mat4::identity());
+
+        RgbImage color(w, h, Vec3(0.1, 0.2, 0.3));
+        ImageF depth(w, h, 1e30f);
+        RasterStats stats;
+        referenceDraw(mesh, lit, color, depth, stats);
+        ASSERT_TRUE(sameImage(r.color(), color)) << "scene " << scene;
+        const std::size_t n = static_cast<std::size_t>(w) * h;
+        ASSERT_EQ(std::memcmp(r.depth().data(), depth.data(),
+                              n * sizeof(float)),
+                  0)
+            << "scene " << scene;
+        ASSERT_EQ(digestStats(0, r.stats()), digestStats(0, stats))
+            << "scene " << scene << ": rasterized "
+            << r.stats().triangles_rasterized << " vs "
+            << stats.triangles_rasterized << ", fragments "
+            << r.stats().fragments_shaded << " vs "
+            << stats.fragments_shaded;
+    }
+    EXPECT_EQ(cases, 9000);
+}
+
 constexpr int kGoldenFrames = 120;
 constexpr double kGoldenFrameDt = 0.05; ///< 6 s of lab walk.
 
@@ -466,8 +674,10 @@ TEST(RenderTest, FramesMatchSeedDigests)
     const Golden golden[] = {
         {AppId::Sponza, 64, 0x80c89483b7bfef6dULL},
         {AppId::Sponza, 80, 0xd0a27101928914a3ULL},
+        {AppId::Sponza, 51, 0xd6eaf72faaab6083ULL},
         {AppId::Materials, 64, 0xdadae9bc68f3f56aULL},
         {AppId::Materials, 80, 0x295a102e6a8db46aULL},
+        {AppId::Materials, 51, 0xc042bb5b36daede0ULL},
         {AppId::Platformer, 64, 0xc32bfec77a06972aULL},
         {AppId::Platformer, 80, 0x86f95f9844119843ULL},
         {AppId::ArDemo, 64, 0x2de312932a7143bdULL},

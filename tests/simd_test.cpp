@@ -124,6 +124,16 @@ TEST(SimdLaneOps, DoubleOpsMatchScalarOracleBitwise)
     check(simd::dupOdd(a), simd::dupOdd(ra), "dupOdd");
     check(simd::swapPairs(a), simd::swapPairs(ra), "swapPairs");
     check(simd::addSub(a, b), simd::addSub(ra, rb), "addSub");
+    check(simd::vfloor(a), simd::vfloor(ra), "vfloor");
+    check(simd::vceil(a), simd::vceil(ra), "vceil");
+    const double halves[4] = {-0.5, 0.5, -2.5, 1e300};
+    check(simd::vceil(VecD4::load(halves)),
+          simd::vceil(RefD4::load(halves)), "vceil halves, -0");
+    check(simd::vfloor(VecD4::load(halves)),
+          simd::vfloor(RefD4::load(halves)), "vfloor halves");
+    check(simd::setLanes(kDoubleLanes[0], kDoubleLanes[1],
+                         kDoubleLanes[2], kDoubleLanes[3]),
+          ra, "setLanes");
 }
 
 TEST(SimdLaneOps, ReductionUsesTheFixedHalvingTree)

@@ -236,6 +236,7 @@ TEST(TimewarpTest, WarpMatchesSeedDigests)
         {"no_chroma", &no_chroma, 80, 80, 0x8caeaf079f04c0dbULL},
         {"no_lens", &no_lens, 80, 80, 0xac72128f7d33db36ULL},
         {"default_96x64", &def, 96, 64, 0x5558791fd5fccf4cULL},
+        {"default_51x51", &def, 51, 51, 0x20264cdc55277484ULL},
     };
     for (const Golden &g : golden) {
         const std::uint64_t d = warpDigest(*g.params, g.width, g.height);
